@@ -89,7 +89,7 @@ fn main() -> ExitCode {
                     device.vendor(),
                     format_args!("{:016x}", device.fingerprint()),
                     device.warp_size,
-                    choice.blueprint.method.label(),
+                    choice.blueprint.method.routine().label(),
                     best.config,
                     best.mpoints
                 );
@@ -110,7 +110,7 @@ fn main() -> ExitCode {
                     device.coalesce_segment_bytes,
                     device.smem_banks,
                     device.smem_bank_bytes,
-                    json_string(&choice.blueprint.method.label()),
+                    json_string(&choice.blueprint.method.routine().label()),
                     ranking.join(","),
                     best.config.tx,
                     best.config.ty,

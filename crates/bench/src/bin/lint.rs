@@ -23,8 +23,9 @@
 //! ```
 
 use gpu_sim::{DeviceSpec, GridDims};
-use inplane_core::{lower_step, KernelSpec, LaunchConfig, Method, Variant};
+use inplane_core::{lower_step, registry, KernelSpec, LaunchConfig, Method};
 use stencil_apps::{Hyperthermia, Laplacian3d, Poisson, Upstream};
+use stencil_bench::opts::{device_choices, parse_device};
 use stencil_grid::{MultiGridKernel, Precision};
 use stencil_lint::sweep::{
     enumerate_configs, enumerate_configs_quick, lint_configs_opts, LintOptions, SweepReport,
@@ -49,14 +50,15 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: lint [--device gtx580|gtx680|c2070|hd7970|rtx3090|all]\n\
+        "usage: lint [--device {}|all]\n\
          \x20           [--kernel laplacian|poisson|hyperthermia|upstream|all]\n\
          \x20           [--precision sp|dp] [--json] [--quick] [--verify-kernels]\n\
-         Sweeps the full (TX, TY, RX, RY) tuning grid for every method variant and\n\
+         Sweeps the full (TX, TY, RX, RY) tuning grid for every registered routine and\n\
          reports coded diagnostics. Exits non-zero when a feasible configuration\n\
          carries an error-severity diagnostic or a rejection is unexplained.\n\
          --verify-kernels additionally proves the emitted CUDA/OpenCL source by\n\
-         abstract interpretation (LNT-K diagnostics)."
+         abstract interpretation (LNT-K diagnostics).",
+        device_choices()
     );
     std::process::exit(2)
 }
@@ -76,13 +78,8 @@ fn parse_args() -> Args {
         match a.as_str() {
             "--device" => {
                 args.devices = match val().as_str() {
-                    "gtx580" => vec![DeviceSpec::gtx580()],
-                    "gtx680" => vec![DeviceSpec::gtx680()],
-                    "c2070" => vec![DeviceSpec::c2070()],
-                    "hd7970" => vec![DeviceSpec::hd7970()],
-                    "rtx3090" => vec![DeviceSpec::rtx3090()],
-                    "all" => DeviceSpec::all_devices().to_vec(),
-                    _ => usage(),
+                    "all" => DeviceSpec::all_devices(),
+                    key => vec![parse_device(key).unwrap_or_else(|| usage())],
                 }
             }
             "--kernel" => {
@@ -112,21 +109,14 @@ fn parse_args() -> Args {
     args
 }
 
-/// Kernel specs for one named application at one precision: the
-/// forward-plane baseline plus every in-plane variant.
+/// Kernel specs for one named application at one precision, one per
+/// registered routine.
 fn specs_for(kernel: &str, precision: Precision) -> Vec<KernelSpec> {
-    let methods = [
-        Method::ForwardPlane,
-        Method::InPlane(Variant::Classical),
-        Method::InPlane(Variant::Vertical),
-        Method::InPlane(Variant::Horizontal),
-        Method::InPlane(Variant::FullSlice),
-    ];
-    methods
+    registry()
         .iter()
-        .map(|&m| match precision {
-            Precision::Single => app_spec::<f32>(kernel, m),
-            Precision::Double => app_spec::<f64>(kernel, m),
+        .map(|rt| match precision {
+            Precision::Single => app_spec::<f32>(kernel, rt.method()),
+            Precision::Double => app_spec::<f64>(kernel, rt.method()),
         })
         .collect()
 }
@@ -164,7 +154,7 @@ fn oracle_json(device: &DeviceSpec, spec: &KernelSpec, precision: Precision) -> 
          \"dataflow\":{},\"traffic\":{}}}",
         device.name,
         spec.name,
-        spec.method.label(),
+        spec.method.routine().label(),
         report.to_json(),
         traffic.to_json(),
     )

@@ -12,7 +12,9 @@ use gpu_sim::{DeviceSpec, GridDims};
 use inplane_core::{KernelSpec, Method, Variant};
 use stencil_autotune::{exhaustive_tune, model_based_tune, ParameterSpace};
 use stencil_bench::exp::service_at;
-use stencil_bench::opts::TUNE_STORE_ENV;
+use stencil_bench::opts::{
+    device_choices, parse_device, parse_routine, routine_choices, TUNE_STORE_ENV,
+};
 use stencil_grid::Precision;
 use stencil_tunestore::{TuneRequest, TunerSpec};
 
@@ -29,13 +31,15 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: tune [--device gtx580|gtx680|c2070] [--order N] [--precision sp|dp]\n\
-         \x20           [--method nvstencil|classical|vertical|horizontal|full-slice]\n\
+        "usage: tune [--device {}] [--order N] [--precision sp|dp]\n\
+         \x20           [--method {}]\n\
          \x20           [--beta PCT] [--lx N --ly N --lz N] [--seed N] [--store PATH]\n\
          --beta selects model-based tuning (execute only the top PCT% of the space);\n\
          without it the search is exhaustive.\n\
          --store (or INPLANE_TUNE_STORE) persists results; a repeated run is\n\
-         served from disk bit-identically without re-searching."
+         served from disk bit-identically without re-searching.",
+        device_choices(),
+        routine_choices()
     );
     std::process::exit(2)
 }
@@ -56,14 +60,7 @@ fn parse_args() -> Args {
     while let Some(a) = it.next() {
         let mut val = || it.next().unwrap_or_else(|| usage());
         match a.as_str() {
-            "--device" => {
-                args.device = match val().as_str() {
-                    "gtx580" => DeviceSpec::gtx580(),
-                    "gtx680" => DeviceSpec::gtx680(),
-                    "c2070" => DeviceSpec::c2070(),
-                    _ => usage(),
-                }
-            }
+            "--device" => args.device = parse_device(&val()).unwrap_or_else(|| usage()),
             "--order" => args.order = val().parse().unwrap_or_else(|_| usage()),
             "--precision" => {
                 args.precision = match val().as_str() {
@@ -72,16 +69,7 @@ fn parse_args() -> Args {
                     _ => usage(),
                 }
             }
-            "--method" => {
-                args.method = match val().as_str() {
-                    "nvstencil" | "forward" => Method::ForwardPlane,
-                    "classical" => Method::InPlane(Variant::Classical),
-                    "vertical" => Method::InPlane(Variant::Vertical),
-                    "horizontal" => Method::InPlane(Variant::Horizontal),
-                    "full-slice" => Method::InPlane(Variant::FullSlice),
-                    _ => usage(),
-                }
-            }
+            "--method" => args.method = parse_routine(&val()).unwrap_or_else(|| usage()).method(),
             "--beta" => args.beta = Some(val().parse().unwrap_or_else(|_| usage())),
             "--lx" => lx = val().parse().unwrap_or_else(|_| usage()),
             "--ly" => ly = val().parse().unwrap_or_else(|_| usage()),

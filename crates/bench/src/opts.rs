@@ -1,6 +1,7 @@
 //! Command-line options shared by all experiment binaries.
 
-use gpu_sim::GridDims;
+use gpu_sim::{DeviceSpec, GridDims};
+use inplane_core::{registry, Method, Routine};
 
 /// Environment variable naming the persistent tune-store path every
 /// tuning binary honors (`--store <path>` overrides it).
@@ -77,9 +78,105 @@ impl RunOpts {
     }
 }
 
+/// The command-line key of a registered device: its name lowercased,
+/// the vendor word dropped and spaces removed (`"Radeon HD 7970"` →
+/// `hd7970`).
+pub fn device_key(device: &DeviceSpec) -> String {
+    let name = device.name.to_lowercase();
+    let model = name
+        .split_once(' ')
+        .map_or(name.as_str(), |(_, model)| model);
+    model.replace(' ', "")
+}
+
+/// Parse a `--device` value: the [`device_key`] of any registered
+/// device.
+pub fn parse_device(key: &str) -> Option<DeviceSpec> {
+    DeviceSpec::all_devices()
+        .into_iter()
+        .find(|d| device_key(d) == key)
+}
+
+/// A routine's short command-line name: its label without the
+/// `in-plane/` prefix (`nvstencil`, `full-slice`, ...).
+fn routine_name(routine: &dyn Routine) -> String {
+    let label = routine.label();
+    label
+        .strip_prefix("in-plane/")
+        .unwrap_or(&label)
+        .to_string()
+}
+
+/// Parse a `--method` value: a registered routine's full label, its
+/// short name, or `forward` for the forward-plane baseline.
+pub fn parse_routine(name: &str) -> Option<&'static dyn Routine> {
+    if name == "forward" {
+        return Some(Method::ForwardPlane.routine());
+    }
+    registry()
+        .iter()
+        .copied()
+        .find(|rt| rt.label() == name || routine_name(*rt) == name)
+}
+
+/// Every device key, `|`-separated, for usage text.
+pub fn device_choices() -> String {
+    let keys: Vec<String> = DeviceSpec::all_devices().iter().map(device_key).collect();
+    keys.join("|")
+}
+
+/// Every routine's short name, `|`-separated, for usage text.
+pub fn routine_choices() -> String {
+    let names: Vec<String> = registry().iter().map(|rt| routine_name(*rt)).collect();
+    names.join("|")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_device_and_routine_round_trips() {
+        for d in DeviceSpec::all_devices() {
+            assert_eq!(parse_device(&device_key(&d)), Some(d.clone()), "{}", d.name);
+        }
+        for rt in registry() {
+            for name in [rt.label(), routine_name(*rt)] {
+                assert_eq!(
+                    parse_routine(&name).map(|p| p.id()),
+                    Some(rt.id()),
+                    "{name}"
+                );
+            }
+        }
+        assert!(parse_device("warp-drive").is_none());
+        assert!(parse_routine("warp-drive").is_none());
+    }
+
+    #[test]
+    fn legacy_spellings_still_parse() {
+        let keys = ["gtx580", "gtx680", "c2070", "hd7970", "rtx3090"];
+        assert_eq!(device_choices(), keys.join("|"));
+        for key in keys {
+            assert!(parse_device(key).is_some(), "{key}");
+        }
+        for name in [
+            "nvstencil",
+            "forward",
+            "classical",
+            "vertical",
+            "horizontal",
+            "full-slice",
+            "double-buffered",
+        ] {
+            assert!(parse_routine(name).is_some(), "{name}");
+        }
+        assert_eq!(parse_routine("forward").unwrap().id(), 0);
+        assert_eq!(
+            routine_choices(),
+            "nvstencil|classical|vertical|horizontal|full-slice|double-buffered"
+        );
+    }
 
     #[test]
     fn default_is_paper_grid() {

@@ -46,8 +46,10 @@ fn json_document_matches_the_pinned_schema() {
         assert!(json.contains(key), "{key} missing from {json}");
     }
 
-    // Per-sweep report: one per method, pinned keys.
-    assert_eq!(json.matches("\"examined\":").count(), 5, "{json}");
+    // Per-sweep report: one per registered routine, pinned keys.
+    let routines = inplane_core::registry().len();
+    assert_eq!(routines, 6);
+    assert_eq!(json.matches("\"examined\":").count(), routines, "{json}");
     for key in [
         "\"device\":\"GeForce GTX580\"",
         "\"kernel\":\"Laplacian",
@@ -63,12 +65,13 @@ fn json_document_matches_the_pinned_schema() {
     // The in-plane sweeps surface the documented dead-arm warning.
     assert!(json.contains("\"LNT-D103\":"), "{json}");
 
-    // Oracle section: one entry per method, dataflow + traffic pinned.
-    assert_eq!(json.matches("\"dataflow\":{").count(), 5, "{json}");
-    assert_eq!(json.matches("\"traffic\":{").count(), 5, "{json}");
+    // Oracle section: one entry per routine, dataflow + traffic pinned.
+    assert_eq!(json.matches("\"dataflow\":{").count(), routines, "{json}");
+    assert_eq!(json.matches("\"traffic\":{").count(), routines, "{json}");
     for key in [
         "\"method\":\"nvstencil\"",
         "\"method\":\"in-plane/full-slice\"",
+        "\"method\":\"in-plane/double-buffered\"",
         "\"errors\":0",
         "\"word_bytes\":4",
         "\"segment_bytes\":128",

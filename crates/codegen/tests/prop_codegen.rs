@@ -1,20 +1,15 @@
 //! Property-based tests for code generation: any feasible configuration
 //! must produce structurally sound source for both backends.
 
-use inplane_core::{KernelSpec, LaunchConfig, Method, Variant};
+use inplane_core::{registry, KernelSpec, LaunchConfig, Method, Variant};
 use proptest::prelude::*;
 use stencil_codegen::cwriter::count_occurrences;
 use stencil_codegen::{generate_host_harness, generate_kernel, generate_opencl_kernel};
 use stencil_grid::Precision;
 
 fn arb_method() -> impl Strategy<Value = Method> {
-    prop::sample::select(vec![
-        Method::ForwardPlane,
-        Method::InPlane(Variant::Classical),
-        Method::InPlane(Variant::Vertical),
-        Method::InPlane(Variant::Horizontal),
-        Method::InPlane(Variant::FullSlice),
-    ])
+    // Every registered routine.
+    prop::sample::select(registry().iter().map(|rt| rt.method()).collect::<Vec<_>>())
 }
 
 proptest! {

@@ -16,13 +16,9 @@
 //!   reference, so verification is bit-exact per precision.
 
 mod buffer;
-mod forward;
-mod inplane;
 mod interp;
 
 pub use buffer::{SharedBuffer, StageError};
-pub use forward::execute_forward_plane;
-pub use inplane::execute_inplane;
 pub use interp::{interpret_plan, interpret_plan_checked};
 
 use crate::config::LaunchConfig;
@@ -152,8 +148,7 @@ pub fn execute_step<T: Real>(
         "grid {nx}x{ny}x{nz} too small for radius {r}"
     );
     // Routine-agnostic: lower through the registry, run the single
-    // interpreter (the per-method executors are shims over the same
-    // path).
+    // interpreter.
     let plan = crate::plan::lower_step(method, config, r, input.dims());
     let stats = interpret_plan(&plan, stencil, input, out);
     boundary.apply(input, out, r);
@@ -251,17 +246,21 @@ mod tests {
     }
 
     #[test]
-    fn all_inplane_variants_are_bit_exact_vs_inplane_reference_f32() {
-        for variant in Variant::all() {
+    fn every_routine_is_bit_exact_vs_its_reference_f32() {
+        for rt in crate::routine::registry() {
             for order in [2usize, 4] {
                 let s: StarStencil<f32> = StarStencil::from_order(order);
                 let n = 3 * order + 7;
                 let input = random_grid::<f32>(n, 7 + order as u64);
                 let mut golden = Grid3::new(n, n, n);
-                apply_reference_inplane_order(&s, &input, &mut golden, Boundary::CopyInput);
+                if rt.inplane_reference_order() {
+                    apply_reference_inplane_order(&s, &input, &mut golden, Boundary::CopyInput);
+                } else {
+                    apply_reference(&s, &input, &mut golden, Boundary::CopyInput);
+                }
                 let mut got = Grid3::new(n, n, n);
                 execute_step(
-                    Method::InPlane(variant),
+                    rt.method(),
                     &s,
                     &LaunchConfig::new(4, 4, 2, 1),
                     &input,
@@ -271,7 +270,8 @@ mod tests {
                 assert_eq!(
                     max_abs_diff(&got, &golden),
                     0.0,
-                    "{variant}: order {order} must be bit-exact vs in-plane reference"
+                    "{}: order {order} must be bit-exact vs its reference",
+                    rt.label()
                 );
             }
         }

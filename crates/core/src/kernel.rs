@@ -31,12 +31,13 @@ impl KernelSpec {
     /// Spec for the symmetric star stencil of Eqn (1) under `method`.
     pub fn star<T: Real>(method: Method, stencil: &StarStencil<T>) -> Self {
         let r = stencil.radius();
+        let routine = method.routine();
         KernelSpec {
-            name: format!("star-{} {}", stencil.order(), method.label()),
+            name: format!("star-{} {}", stencil.order(), routine.label()),
             method,
             radius: r,
             elem_bytes: T::PRECISION.bytes(),
-            flops_per_point: method.star_flops_per_point(r),
+            flops_per_point: routine.star_flops_per_point(r),
             streamed_inputs: 1,
             coeff_inputs: 0,
             outputs: 1,
@@ -60,12 +61,13 @@ impl KernelSpec {
             order >= 2 && order.is_multiple_of(2),
             "order must be even and >= 2"
         );
+        let routine = method.routine();
         KernelSpec {
-            name: format!("star-{order} {} {}", method.label(), precision.label()),
+            name: format!("star-{order} {} {}", routine.label(), precision.label()),
             method,
             radius: r,
             elem_bytes: precision.bytes(),
-            flops_per_point: method.star_flops_per_point(r),
+            flops_per_point: routine.star_flops_per_point(r),
             streamed_inputs: 1,
             coeff_inputs: 0,
             outputs: 1,
@@ -75,13 +77,14 @@ impl KernelSpec {
     /// Spec for an application (multi-grid) kernel under `method`.
     pub fn from_app<T: Real>(method: Method, app: &dyn MultiGridKernel<T>) -> Self {
         let streamed = app.num_streamed_inputs();
-        let flops = if method.is_inplane() {
+        let routine = method.routine();
+        let flops = if routine.inplane_reference_order() {
             app.flops_per_point_inplane()
         } else {
             app.flops_per_point()
         };
         KernelSpec {
-            name: format!("{} {}", app.name(), method.label()),
+            name: format!("{} {}", app.name(), routine.label()),
             method,
             radius: app.radius(),
             elem_bytes: T::PRECISION.bytes(),
@@ -112,11 +115,12 @@ impl KernelSpec {
     /// `spec.with_method(m1).with_method(m0)` restores the original
     /// flops count exactly for every routine pair.
     pub fn with_method(&self, method: Method) -> Self {
+        let (from, to) = (self.method.routine(), method.routine());
         let mut s = self.clone();
-        let base_flops = self.flops_per_point - self.method.routine().flops_overhead(self.radius);
-        s.flops_per_point = base_flops + method.routine().flops_overhead(self.radius);
+        let base_flops = self.flops_per_point - from.flops_overhead(self.radius);
+        s.flops_per_point = base_flops + to.flops_overhead(self.radius);
         s.method = method;
-        s.name = s.name.replace(&self.method.label(), &method.label());
+        s.name = s.name.replace(&from.label(), &to.label());
         s
     }
 }

@@ -1,4 +1,8 @@
-//! The stencil computation methods the paper compares.
+//! The stencil computation methods the paper compares, as plain tags.
+//!
+//! [`Method`] and [`Variant`] only *name* a registered routine; every
+//! fact about one lives on its [`crate::routine::Routine`], which
+//! [`Method::routine`] looks up.
 
 use std::fmt;
 
@@ -30,42 +34,6 @@ pub enum Variant {
     DoubleBuffered,
 }
 
-impl Variant {
-    /// The variants the paper evaluates in Fig 7 (classical excluded).
-    pub fn evaluated() -> [Variant; 3] {
-        [Variant::Vertical, Variant::Horizontal, Variant::FullSlice]
-    }
-
-    /// All five variants (the paper's four plus the registry's
-    /// double-buffered extension), in stable routine-id order.
-    pub fn all() -> [Variant; 5] {
-        [
-            Variant::Classical,
-            Variant::Vertical,
-            Variant::Horizontal,
-            Variant::FullSlice,
-            Variant::DoubleBuffered,
-        ]
-    }
-
-    /// Label used in figures.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Variant::Classical => "classical",
-            Variant::Vertical => "vertical",
-            Variant::Horizontal => "horizontal",
-            Variant::FullSlice => "full-slice",
-            Variant::DoubleBuffered => "double-buffered",
-        }
-    }
-}
-
-impl fmt::Display for Variant {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 /// A stencil computation method: what plane is loaded relative to the
 /// plane being written, and how.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -93,90 +61,19 @@ pub(crate) fn method_code(method: Method) -> u64 {
 }
 
 impl Method {
-    /// Short label for tables ("nvstencil", "in-plane/full-slice", ...).
-    pub fn label(&self) -> String {
-        match self {
-            Method::ForwardPlane => "nvstencil".to_string(),
-            Method::InPlane(v) => format!("in-plane/{}", v.label()),
-        }
-    }
-
-    /// The registered [`crate::routine::Routine`] this method tags —
-    /// the one sanctioned `Method` dispatch in the workspace: every
-    /// other layer goes through the routine's blueprint/skeleton.
+    /// The registered [`crate::routine::Routine`] this tag names — the
+    /// one sanctioned `Method` dispatch in the workspace. Every routine
+    /// fact (label, flops, pipeline depth, loading pattern) is answered
+    /// by the routine, never by the tag.
     pub fn routine(&self) -> &'static dyn crate::routine::Routine {
-        crate::routine::routine_for(*self)
-    }
-
-    /// Flops per grid point for a radius-`r` star stencil under this
-    /// method: `7r + 1` forward, `8r + 1` in-plane (Table II).
-    pub fn star_flops_per_point(&self, radius: usize) -> usize {
-        match self {
-            Method::ForwardPlane => 7 * radius + 1,
-            Method::InPlane(_) => 8 * radius + 1,
-        }
-    }
-
-    /// True for any in-plane variant.
-    pub fn is_inplane(&self) -> bool {
-        matches!(self, Method::InPlane(_))
-    }
-
-    /// The method's specified register-pipeline depth in words per
-    /// point: `2r + 1` z-values forward-plane; `r` queued partials plus
-    /// `r` trailing z-values in-plane (the `+1` queue slot being staged
-    /// is the accumulator, not pipeline state). The lowered
-    /// [`crate::plan::StagePlan`] declares exactly these depths and the
-    /// static analyzer's `LNT-S004` proof asserts against them.
-    pub fn pipeline_words(&self, radius: usize) -> usize {
-        match self {
-            Method::ForwardPlane => 2 * radius + 1,
-            Method::InPlane(_) => 2 * radius,
-        }
+        // The registry is dense and in stable-id order, so the frozen
+        // code is the routine's index.
+        crate::routine::registry()[method_code(*self) as usize]
     }
 }
 
 impl fmt::Display for Method {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.label())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn evaluated_excludes_classical() {
-        assert!(!Variant::evaluated().contains(&Variant::Classical));
-        assert_eq!(Variant::evaluated().len(), 3);
-        assert_eq!(Variant::all().len(), 5);
-    }
-
-    #[test]
-    fn labels() {
-        assert_eq!(Method::ForwardPlane.label(), "nvstencil");
-        assert_eq!(
-            Method::InPlane(Variant::FullSlice).label(),
-            "in-plane/full-slice"
-        );
-        assert_eq!(format!("{}", Variant::Vertical), "vertical");
-    }
-
-    #[test]
-    fn table2_flop_counts() {
-        for r in 1..=6 {
-            assert_eq!(Method::ForwardPlane.star_flops_per_point(r), 7 * r + 1);
-            assert_eq!(
-                Method::InPlane(Variant::FullSlice).star_flops_per_point(r),
-                8 * r + 1
-            );
-        }
-    }
-
-    #[test]
-    fn is_inplane() {
-        assert!(Method::InPlane(Variant::Vertical).is_inplane());
-        assert!(!Method::ForwardPlane.is_inplane());
+        f.write_str(&self.routine().label())
     }
 }

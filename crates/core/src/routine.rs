@@ -21,9 +21,10 @@
 //! Routine identities are stable `u64` codes ([`Routine::id`]) that
 //! feed `PlanKey` and `TuneKey` hashing: ids 0–4 reproduce the legacy
 //! `method_code` values exactly, so tunes stored before this registry
-//! existed still warm-start. [`Method`] remains as a thin compat shim
-//! whose [`Method::routine`] is the one sanctioned enum match in the
-//! workspace.
+//! existed still warm-start. [`Method`] remains only as a tag whose
+//! [`Method::routine`] is the one sanctioned enum match in the
+//! workspace; every routine fact (label, flops, pipeline depth) lives
+//! here.
 //!
 //! The registry ships six routines: the five paper methods plus
 //! [`Variant::DoubleBuffered`] — two shared-memory staging buffers
@@ -183,9 +184,7 @@ pub trait Routine: Sync {
     fn method(&self) -> Method;
 
     /// Display label (`"nvstencil"`, `"in-plane/full-slice"`, ...).
-    fn label(&self) -> String {
-        self.method().label()
-    }
+    fn label(&self) -> String;
 
     /// The generated CUDA kernel's function name.
     fn kernel_fn_name(&self) -> &'static str;
@@ -244,19 +243,7 @@ pub trait Routine: Sync {
     /// every axis (`LNT-R007`); routines with extra constraints chain
     /// onto it.
     fn supports(&self, problem: &ProblemSpec) -> Result<(), RoutineDiag> {
-        let (nx, ny, nz) = problem.dims;
-        let r = problem.radius;
-        if nx <= 2 * r || ny <= 2 * r || nz <= 2 * r {
-            return Err(RoutineDiag {
-                code: "LNT-R007",
-                message: format!(
-                    "{}: grid {nx}x{ny}x{nz} too small for radius {r} \
-                     (every axis must exceed 2r)",
-                    self.label()
-                ),
-            });
-        }
-        Ok(())
+        check_grid(self, problem)
     }
 
     /// Resolve the routine's typed shape for one problem.
@@ -279,6 +266,25 @@ pub trait Routine: Sync {
     fn lower(&self, blueprint: &Blueprint) -> StagePlan {
         lower_blueprint(blueprint)
     }
+}
+
+/// The grid check every routine's [`Routine::supports`] starts from:
+/// the grid must strictly contain the radius-`r` halo shell in every
+/// axis (`LNT-R007`).
+fn check_grid(routine: &(impl Routine + ?Sized), problem: &ProblemSpec) -> Result<(), RoutineDiag> {
+    let (nx, ny, nz) = problem.dims;
+    let r = problem.radius;
+    if nx <= 2 * r || ny <= 2 * r || nz <= 2 * r {
+        return Err(RoutineDiag {
+            code: "LNT-R007",
+            message: format!(
+                "{}: grid {nx}x{ny}x{nz} too small for radius {r} \
+                 (every axis must exceed 2r)",
+                routine.label()
+            ),
+        });
+    }
+    Ok(())
 }
 
 /// The generic skeleton-driven lowering: one interior Jacobi step over
@@ -428,6 +434,10 @@ impl Routine for ForwardPlaneRoutine {
         Method::ForwardPlane
     }
 
+    fn label(&self) -> String {
+        "nvstencil".to_string()
+    }
+
     fn kernel_fn_name(&self) -> &'static str {
         "stencil_forward_plane"
     }
@@ -480,6 +490,7 @@ impl Routine for ForwardPlaneRoutine {
 /// pattern and corner behaviour differ.
 pub struct InPlaneRoutine {
     variant: Variant,
+    label: &'static str,
 }
 
 /// The shared in-plane schedule skeleton (Eqns (3)–(5), §III-C).
@@ -504,6 +515,10 @@ impl Routine for InPlaneRoutine {
 
     fn method(&self) -> Method {
         Method::InPlane(self.variant)
+    }
+
+    fn label(&self) -> String {
+        self.label.to_string()
     }
 
     fn kernel_fn_name(&self) -> &'static str {
@@ -568,6 +583,10 @@ impl Routine for DoubleBufferedRoutine {
         Method::InPlane(Variant::DoubleBuffered)
     }
 
+    fn label(&self) -> String {
+        "in-plane/double-buffered".to_string()
+    }
+
     fn kernel_fn_name(&self) -> &'static str {
         "stencil_inplane_dblbuf"
     }
@@ -597,19 +616,8 @@ impl Routine for DoubleBufferedRoutine {
     }
 
     fn supports(&self, problem: &ProblemSpec) -> Result<(), RoutineDiag> {
-        // The generic grid check first.
+        check_grid(self, problem)?;
         let r = problem.radius;
-        let (nx, ny, nz) = problem.dims;
-        if nx <= 2 * r || ny <= 2 * r || nz <= 2 * r {
-            return Err(RoutineDiag {
-                code: "LNT-R007",
-                message: format!(
-                    "{}: grid {nx}x{ny}x{nz} too small for radius {r} \
-                     (every axis must exceed 2r)",
-                    self.label()
-                ),
-            });
-        }
         // The staging *pair* must fit the device's shared memory.
         if let Some(limit) = problem.smem_limit {
             let slab = (problem.config.tile_x() + 2 * r) * (problem.config.tile_y() + 2 * r);
@@ -632,15 +640,19 @@ impl Routine for DoubleBufferedRoutine {
 static FORWARD_PLANE: ForwardPlaneRoutine = ForwardPlaneRoutine;
 static INPLANE_CLASSICAL: InPlaneRoutine = InPlaneRoutine {
     variant: Variant::Classical,
+    label: "in-plane/classical",
 };
 static INPLANE_VERTICAL: InPlaneRoutine = InPlaneRoutine {
     variant: Variant::Vertical,
+    label: "in-plane/vertical",
 };
 static INPLANE_HORIZONTAL: InPlaneRoutine = InPlaneRoutine {
     variant: Variant::Horizontal,
+    label: "in-plane/horizontal",
 };
 static INPLANE_FULLSLICE: InPlaneRoutine = InPlaneRoutine {
     variant: Variant::FullSlice,
+    label: "in-plane/full-slice",
 };
 static DOUBLE_BUFFERED: DoubleBufferedRoutine = DoubleBufferedRoutine;
 
@@ -665,11 +677,6 @@ pub fn routine_by_id(id: u64) -> Option<&'static dyn Routine> {
 /// Look a routine up by its display label.
 pub fn routine_by_label(label: &str) -> Option<&'static dyn Routine> {
     registry().iter().copied().find(|rt| rt.label() == label)
-}
-
-pub(crate) fn routine_for(method: Method) -> &'static dyn Routine {
-    routine_by_id(crate::method::method_code(method))
-        .expect("every Method maps onto a registered routine")
 }
 
 #[cfg(test)]
@@ -702,21 +709,35 @@ mod tests {
     }
 
     #[test]
-    fn skeleton_pipeline_words_match_the_method_table() {
+    fn routine_labels_are_frozen() {
+        // Labels are persisted in tune-store records and printed in
+        // every figure: they must never drift.
+        let want = [
+            (0, "nvstencil"),
+            (1, "in-plane/classical"),
+            (2, "in-plane/vertical"),
+            (3, "in-plane/horizontal"),
+            (4, "in-plane/full-slice"),
+            (5, "in-plane/double-buffered"),
+        ];
+        assert_eq!(registry().len(), want.len());
+        for (id, label) in want {
+            let rt = routine_by_id(id).unwrap();
+            assert_eq!(rt.label(), label);
+            assert_eq!(rt.method().to_string(), label);
+        }
+    }
+
+    #[test]
+    fn table2_flop_counts() {
         for r in 1..=6 {
             for rt in registry() {
-                assert_eq!(
-                    rt.pipeline_words(r),
-                    rt.method().pipeline_words(r),
-                    "{} r={r}",
-                    rt.label()
-                );
-                assert_eq!(
-                    rt.star_flops_per_point(r),
-                    rt.method().star_flops_per_point(r),
-                    "{} r={r}",
-                    rt.label()
-                );
+                let want = if rt.inplane_reference_order() {
+                    8 * r + 1
+                } else {
+                    7 * r + 1
+                };
+                assert_eq!(rt.star_flops_per_point(r), want, "{} r={r}", rt.label());
             }
         }
     }

@@ -5,20 +5,15 @@
 
 use gpu_sim::{simulate_clean, DeviceSpec, GridDims, SimOptions};
 use inplane_core::{
-    build_block_plan, EvalContext, KernelSpec, LaunchConfig, Method, Variant,
+    build_block_plan, registry, EvalContext, KernelSpec, LaunchConfig, Method,
     MEASUREMENT_NOISE_AMPLITUDE,
 };
 use proptest::prelude::*;
 use stencil_grid::Precision;
 
 fn arb_method() -> impl Strategy<Value = Method> {
-    prop::sample::select(vec![
-        Method::ForwardPlane,
-        Method::InPlane(Variant::Classical),
-        Method::InPlane(Variant::Vertical),
-        Method::InPlane(Variant::Horizontal),
-        Method::InPlane(Variant::FullSlice),
-    ])
+    // Every registered routine.
+    prop::sample::select(registry().iter().map(|rt| rt.method()).collect::<Vec<_>>())
 }
 
 fn arb_kernel() -> impl Strategy<Value = KernelSpec> {
@@ -50,11 +45,7 @@ fn arb_dims() -> impl Strategy<Value = GridDims> {
 }
 
 fn arb_device() -> impl Strategy<Value = DeviceSpec> {
-    prop::sample::select(vec![
-        DeviceSpec::gtx580(),
-        DeviceSpec::gtx680(),
-        DeviceSpec::c2070(),
-    ])
+    prop::sample::select(DeviceSpec::all_devices())
 }
 
 proptest! {

@@ -103,7 +103,7 @@ pub fn check_region_rects(method: Method, rects: &[Rect], geom: &TileGeometry) -
                     ),
                 )
                 .with("region", i)
-                .with("variant", method.label()),
+                .with("variant", method.routine().label()),
             );
         }
     }
@@ -155,7 +155,7 @@ pub fn check_region_rects(method: Method, rects: &[Rect], geom: &TileGeometry) -
                             "LNT-C003",
                             format!(
                                 "corner-free variant {} stages {} corner cells (region {i}, corner {ci})",
-                                method.label(),
+                                method.routine().label(),
                                 o.area()
                             ),
                         )
@@ -193,7 +193,7 @@ pub fn check_region_rects(method: Method, rects: &[Rect], geom: &TileGeometry) -
             )
             .with("cells", total_area(&gaps))
             .with("gap_rects", gaps.len())
-            .with("variant", method.label()),
+            .with("variant", method.routine().label()),
         );
     }
 

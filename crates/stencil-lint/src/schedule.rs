@@ -267,10 +267,10 @@ pub fn verify_ops(ops: &[Op]) -> Vec<Diagnostic> {
 
 /// The method's specified register-pipeline depth in words per point:
 /// `2r + 1` forward-plane, `2r` (queue + z-history) in-plane.
-/// Delegates to [`inplane_core::Method::pipeline_words`] — the one table
+/// Read off the routine's schedule skeleton — the one table
 /// the lowering, the resource model and this proof all share.
 pub fn expected_pipeline_words(kernel: &KernelSpec) -> usize {
-    kernel.method.pipeline_words(kernel.radius)
+    kernel.method.routine().pipeline_words(kernel.radius)
 }
 
 /// Full schedule check for `(kernel, config)` against the priced
@@ -321,7 +321,7 @@ pub fn check_schedule(
                 "LNT-S004",
                 format!(
                     "lowered block declares {lowered_words} pipeline words, the {} method specifies {}",
-                    kernel.method.label(),
+                    kernel.method.routine().label(),
                     expected_pipeline_words(kernel)
                 ),
             )
@@ -371,7 +371,7 @@ pub fn check_pipeline_depth(
                 "LNT-S004",
                 format!(
                     "register estimate carries {derived_pipeline} pipeline registers, the {} method specifies {expected_pipeline} ({} words/point)",
-                    kernel.method.label(),
+                    kernel.method.routine().label(),
                     expected_pipeline_words(kernel)
                 ),
             )
@@ -387,8 +387,9 @@ pub fn check_pipeline_depth(
 mod tests {
     use super::*;
     use crate::diag::has_errors;
-    use inplane_core::loadplan::build_plane_plan;
-    use inplane_core::{Method, Variant};
+    use gpu_sim::DeviceSpec;
+    use inplane_core::loadplan::build_plane_plan_on;
+    use inplane_core::{registry, Method, Variant};
     use stencil_grid::Precision;
 
     fn geom(c: &LaunchConfig, r: usize) -> TileGeometry {
@@ -399,27 +400,19 @@ mod tests {
         KernelSpec::star_order(method, order, Precision::Single)
     }
 
-    const METHODS: [Method; 6] = [
-        Method::ForwardPlane,
-        Method::InPlane(Variant::Classical),
-        Method::InPlane(Variant::Vertical),
-        Method::InPlane(Variant::Horizontal),
-        Method::InPlane(Variant::FullSlice),
-        Method::InPlane(Variant::DoubleBuffered),
-    ];
-
     #[test]
-    fn all_methods_prove_clean() {
-        for method in METHODS {
+    fn all_routines_prove_clean() {
+        for rt in registry() {
             for order in [2usize, 4, 8, 12] {
                 let c = LaunchConfig::new(32, 8, 1, 1);
                 let g = geom(&c, order / 2);
-                let k = spec(method, order);
-                let plan = build_plane_plan(&k, &c, &g, 32);
+                let k = spec(rt.method(), order);
+                let plan = build_plane_plan_on(&k, &c, &g, &DeviceSpec::gtx580());
                 let d = check_schedule(&k, &c, &plan);
                 assert!(
                     !has_errors(&d),
-                    "{method:?} order {order}: {:?}",
+                    "{} order {order}: {:?}",
+                    rt.label(),
                     d.iter().map(|x| x.render()).collect::<Vec<_>>()
                 );
             }
@@ -464,7 +457,7 @@ mod tests {
         let c = LaunchConfig::new(32, 8, 1, 1);
         let g = geom(&c, 1);
         let k = spec(Method::InPlane(Variant::FullSlice), 2);
-        let mut plan = build_plane_plan(&k, &c, &g, 32);
+        let mut plan = build_plane_plan_on(&k, &c, &g, &DeviceSpec::gtx580());
         plan.syncthreads = 3;
         let d = check_schedule(&k, &c, &plan);
         assert!(d.iter().any(|x| x.code == "LNT-S003"), "{d:?}");
@@ -472,13 +465,13 @@ mod tests {
 
     #[test]
     fn lowered_schedule_has_the_proven_barrier_count() {
-        for method in METHODS {
+        for rt in registry() {
             let c = LaunchConfig::new(16, 4, 1, 2);
-            let k = spec(method, 4);
-            let proven = method.routine().skeleton(k.radius).barriers_per_plane;
+            let k = spec(rt.method(), 4);
+            let proven = rt.skeleton(k.radius).barriers_per_plane;
             let ops = lower_plane_schedule(&k, &c).ops;
             let barriers = ops.iter().filter(|o| matches!(o, Op::Barrier)).count();
-            assert_eq!(barriers, proven, "{method:?}");
+            assert_eq!(barriers, proven, "{}", rt.label());
         }
         // The legacy five prove two; the double-buffered routine one.
         assert_eq!(
@@ -498,16 +491,17 @@ mod tests {
     }
 
     #[test]
-    fn lowered_depths_match_the_methods_table() {
-        for method in METHODS {
+    fn lowered_depths_match_the_routine_table() {
+        for rt in registry() {
             for order in [2usize, 4, 8] {
                 let c = LaunchConfig::new(32, 8, 1, 1);
-                let k = spec(method, order);
+                let k = spec(rt.method(), order);
                 let l = lower_plane_schedule(&k, &c);
                 assert_eq!(
                     l.z_depth + l.out_depth - 1,
                     expected_pipeline_words(&k),
-                    "{method:?} order {order}"
+                    "{} order {order}",
+                    rt.label()
                 );
             }
         }

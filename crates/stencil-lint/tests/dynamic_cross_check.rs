@@ -12,20 +12,13 @@
 use inplane_core::layout::TileGeometry;
 use inplane_core::plan::{PlanOp, Zone};
 use inplane_core::{
-    interpret_plan_checked, lower_step, KernelSpec, LaunchConfig, Method, StagePlan, Variant,
+    interpret_plan_checked, lower_step, registry, KernelSpec, LaunchConfig, Method, StagePlan,
+    Variant,
 };
 use stencil_grid::{FillPattern, Grid3, Precision, StarStencil};
 use stencil_lint::rect::Rect;
 use stencil_lint::schedule::{plan_plane_ops, read_footprint, verify_ops};
 use stencil_lint::Severity;
-
-const METHODS: [Method; 5] = [
-    Method::ForwardPlane,
-    Method::InPlane(Variant::Classical),
-    Method::InPlane(Variant::Vertical),
-    Method::InPlane(Variant::Horizontal),
-    Method::InPlane(Variant::FullSlice),
-];
 
 /// A single-block lowered plan on a 12³ grid: radius 2, one 8×8 tile
 /// covering the whole interior, so the block origin is `(r, r)`.
@@ -60,7 +53,7 @@ fn s001_cells(ops: &[stencil_lint::schedule::Op]) -> u64 {
 
 #[test]
 fn clean_plans_are_clean_both_statically_and_dynamically() {
-    for method in METHODS {
+    for method in registry().iter().map(|rt| rt.method()) {
         let plan = single_block_plan(method);
         // Static: every staged plane of the block proves clean.
         for plane in 2..12 {

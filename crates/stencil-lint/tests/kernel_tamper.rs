@@ -16,20 +16,11 @@
 //!   barriers or traffic, which is the documented boundary of the
 //!   verified subset (numerical equivalence is the emulator's job).
 
-use inplane_core::{KernelSpec, LaunchConfig, Method, Variant};
+use inplane_core::{registry, KernelSpec, LaunchConfig};
 use proptest::prelude::*;
 use stencil_codegen::{generate_kernel, generate_opencl_kernel_full};
 use stencil_grid::Precision;
 use stencil_lint::{verify_kernel_source, Severity};
-
-const METHODS: [Method; 6] = [
-    Method::ForwardPlane,
-    Method::InPlane(Variant::Classical),
-    Method::InPlane(Variant::Vertical),
-    Method::InPlane(Variant::Horizontal),
-    Method::InPlane(Variant::FullSlice),
-    Method::InPlane(Variant::DoubleBuffered),
-];
 
 const CUDA_BARRIER_STMT: &str = "__syncthreads();";
 const OPENCL_BARRIER_STMT: &str = "barrier(CLK_LOCAL_MEM_FENCE);";
@@ -200,13 +191,13 @@ proptest! {
 
     #[test]
     fn mutated_kernels_are_flagged(
-        method_idx in 0usize..6,
+        method_idx in 0..registry().len(),
         order in prop::sample::select(vec![2usize, 4]),
         shape_idx in 0usize..2,
         use_opencl in any::<bool>(),
         site_seed in 0usize..10_000,
     ) {
-        let method = METHODS[method_idx];
+        let method = registry()[method_idx].method();
         let spec = KernelSpec::star_order(method, order, Precision::Single);
         let config = [LaunchConfig::new(8, 2, 1, 2), LaunchConfig::new(16, 2, 1, 1)][shape_idx];
         let r = spec.radius;

@@ -13,17 +13,8 @@ use stencil_lint::{check_coverage, has_errors};
 
 use inplane_core::layout::TileGeometry;
 use inplane_core::loadplan::load_regions;
-use inplane_core::{KernelSpec, LaunchConfig, Method, Variant};
+use inplane_core::{registry, KernelSpec, LaunchConfig};
 use stencil_grid::Precision;
-
-const METHODS: [Method; 6] = [
-    Method::ForwardPlane,
-    Method::InPlane(Variant::Classical),
-    Method::InPlane(Variant::Vertical),
-    Method::InPlane(Variant::Horizontal),
-    Method::InPlane(Variant::FullSlice),
-    Method::InPlane(Variant::DoubleBuffered),
-];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -36,10 +27,10 @@ proptest! {
         ty in 1usize..7,
         rx in 1usize..5,
         ry in 1usize..5,
-        method_idx in 0usize..6,
+        method_idx in 0..registry().len(),
         vw in prop::sample::select(vec![1usize, 2, 4]),
     ) {
-        let method = METHODS[method_idx];
+        let method = registry()[method_idx].method();
         let c = LaunchConfig::new(16 * tx_halfwarps, ty, rx, ry);
         let geom = TileGeometry::interior(&c, radius, 4, 512, 128);
         let regions = load_regions(method, &geom, vw);
@@ -78,9 +69,9 @@ proptest! {
         ty in 1usize..7,
         rx in 1usize..5,
         ry in 1usize..5,
-        method_idx in 0usize..6,
+        method_idx in 0..registry().len(),
     ) {
-        let method = METHODS[method_idx];
+        let method = registry()[method_idx].method();
         let order = 2 * radius;
         let kernel = KernelSpec::star_order(method, order, Precision::Single);
         let c = LaunchConfig::new(16 * tx_halfwarps, ty, rx, ry);

@@ -17,19 +17,8 @@
 use proptest::prelude::*;
 use stencil_lint::analyze_plan;
 
-use inplane_core::{
-    interpret_plan_checked, lower_step, LaunchConfig, Method, PlanOp, StagePlan, Variant,
-};
+use inplane_core::{interpret_plan_checked, lower_step, registry, LaunchConfig, PlanOp, StagePlan};
 use stencil_grid::{FillPattern, Grid3, StarStencil};
-
-const METHODS: [Method; 6] = [
-    Method::ForwardPlane,
-    Method::InPlane(Variant::Classical),
-    Method::InPlane(Variant::Vertical),
-    Method::InPlane(Variant::Horizontal),
-    Method::InPlane(Variant::FullSlice),
-    Method::InPlane(Variant::DoubleBuffered),
-];
 
 #[derive(Clone, Copy, Debug)]
 enum Tamper {
@@ -65,14 +54,14 @@ proptest! {
 
     #[test]
     fn tampered_plans_are_flagged_or_harmless(
-        method_idx in 0usize..6,
+        method_idx in 0..registry().len(),
         radius in 1usize..3,
         tx in prop::sample::select(vec![4usize, 8]),
         ty in 2usize..5,
         kind_idx in 0usize..3,
         at_seed in 0usize..10_000,
     ) {
-        let method = METHODS[method_idx];
+        let method = registry()[method_idx].method();
         let config = LaunchConfig::new(tx, ty, 1, 1);
         let dims = (
             2 * radius + 2 * config.tile_x(),

@@ -8,20 +8,11 @@
 //! documented warnings/notes (drain-phase dead arms, box-granular
 //! transport, final-step exchanges, full-slice corner staging).
 
-use inplane_core::{interpret_plan, lower_step, LaunchConfig, Method, Variant};
+use inplane_core::{interpret_plan, lower_step, registry, LaunchConfig, Method, Variant};
 use stencil_grid::{FillPattern, Grid3, Precision, Real, StarStencil};
 use stencil_lint::{analyze_plan, predict_stats, predict_traffic};
 use stencil_multigpu::multi_gpu_stage_plan;
 use stencil_temporal::temporal_stage_plan;
-
-const METHODS: [Method; 6] = [
-    Method::ForwardPlane,
-    Method::InPlane(Variant::Classical),
-    Method::InPlane(Variant::Vertical),
-    Method::InPlane(Variant::Horizontal),
-    Method::InPlane(Variant::FullSlice),
-    Method::InPlane(Variant::DoubleBuffered),
-];
 
 fn grid<T: Real>(dims: (usize, usize, usize)) -> Grid3<T> {
     FillPattern::HashNoise.build(dims.0, dims.1, dims.2)
@@ -46,7 +37,7 @@ fn single_step_matrix_matches_exactly_both_precisions() {
         LaunchConfig::new(16, 2, 2, 1),
     ];
     let grids = [(12, 12, 12), (17, 13, 11)];
-    for method in METHODS {
+    for method in registry().iter().map(|rt| rt.method()) {
         for config in &configs {
             for dims in grids {
                 let r = 2;
@@ -68,7 +59,7 @@ fn single_step_matrix_matches_exactly_both_precisions() {
 #[test]
 fn byte_figures_track_precision_on_every_method() {
     let config = LaunchConfig::new(8, 2, 1, 3);
-    for method in METHODS {
+    for method in registry().iter().map(|rt| rt.method()) {
         let plan = lower_step(method, &config, 2, (12, 12, 12));
         let sp = predict_traffic(&plan, Precision::Single);
         let dp = predict_traffic(&plan, Precision::Double);

@@ -18,7 +18,7 @@
 //! plan — the same instrumented interpreter every other path runs on.
 
 use inplane_core::plan::{PlanOp, StagePlan, INPUT_BUF, OUTPUT_BUF};
-use inplane_core::{interpret_plan, lower_forward, ExecStats, LaunchConfig};
+use inplane_core::{interpret_plan, lower_step, ExecStats, LaunchConfig, Method};
 use stencil_grid::{Boundary, Grid3, Real, StarStencil};
 
 /// Statistics from a temporal-tiling pass.
@@ -121,7 +121,7 @@ pub fn temporal_stage_plan(
             // Dirichlet, matching the global semantics.
             let cfg = LaunchConfig::new(ww - 2 * r, wh - 2 * r, 1, 1);
             for _ in 0..t_steps {
-                let mut step = lower_forward(&cfg, r, (ww, wh, nz));
+                let mut step = lower_step(Method::ForwardPlane, &cfg, r, (ww, wh, nz));
                 step.retarget_buffers(|id| match id {
                     INPUT_BUF => a,
                     OUTPUT_BUF => b,
@@ -151,7 +151,7 @@ pub fn temporal_stage_plan(
     }
 
     StagePlan {
-        method: inplane_core::Method::ForwardPlane,
+        method: Method::ForwardPlane,
         radius: r,
         dims,
         ops,

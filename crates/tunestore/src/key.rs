@@ -121,13 +121,6 @@ impl TunerKind {
     }
 }
 
-/// Parse a [`Method`] back from its `label()` rendering by consulting
-/// the routine registry — new routines are parseable the day they are
-/// registered, with no table to maintain here.
-pub fn method_from_label(label: &str) -> Option<Method> {
-    inplane_core::routine_by_label(label).map(|rt| rt.method())
-}
-
 /// The stable routine id is the hashed method word. Ids are pinned by
 /// the registry (and by the `legacy_tune_key_hashes_are_pinned` test),
 /// so persisted keys survive the Routine migration byte-for-byte.
@@ -395,21 +388,6 @@ mod tests {
         assert!(!a.is_sibling_of(&c), "different kernels never match");
     }
 
-    #[test]
-    fn method_labels_round_trip() {
-        for m in [
-            Method::ForwardPlane,
-            Method::InPlane(Variant::Classical),
-            Method::InPlane(Variant::Vertical),
-            Method::InPlane(Variant::Horizontal),
-            Method::InPlane(Variant::FullSlice),
-            Method::InPlane(Variant::DoubleBuffered),
-        ] {
-            assert_eq!(method_from_label(&m.label()), Some(m));
-        }
-        assert_eq!(method_from_label("warp-drive"), None);
-    }
-
     /// The Routine migration must not invalidate persisted tunes: the
     /// hashed method word is now the registry id, and these literals
     /// were captured from the pre-migration `match`-based `method_code`.
@@ -434,7 +412,7 @@ mod tests {
                 key.stable_hash(),
                 want,
                 "{} no longer hashes to its pre-Routine value",
-                m.label()
+                m
             );
         }
     }

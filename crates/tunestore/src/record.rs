@@ -17,7 +17,7 @@ use gpu_sim::GridDims;
 use inplane_core::{KernelSpec, LaunchConfig};
 
 use crate::json::{escape, parse_flat_object, Value};
-use crate::key::{fnv64, method_from_label, TuneKey, TunerKind, SCHEMA_VERSION};
+use crate::key::{fnv64, TuneKey, TunerKind, SCHEMA_VERSION};
 
 /// A tuning result bound to its [`TuneKey`].
 #[derive(Clone, Debug, PartialEq)]
@@ -112,7 +112,7 @@ impl TuneRecord {
             dev = escape(&k.device_name),
             dev_fp = k.device_fp,
             kernel = escape(&k.kernel.name),
-            method = escape(&k.kernel.method.label()),
+            method = escape(&k.kernel.method.routine().label()),
             radius = k.kernel.radius,
             elem = k.kernel.elem_bytes,
             flops = k.kernel.flops_per_point,
@@ -175,7 +175,8 @@ impl TuneRecord {
             return Err(RecordError::StaleSchema(version));
         }
 
-        let method = method_from_label(get_str(&map, "method")?)
+        let method = inplane_core::routine_by_label(get_str(&map, "method")?)
+            .map(|rt| rt.method())
             .ok_or(RecordError::Malformed("unknown method label"))?;
         let kernel = KernelSpec {
             name: get_str(&map, "kernel")?.to_string(),

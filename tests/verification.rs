@@ -4,7 +4,7 @@
 //! every method, loading variant, stencil order, precision and a spread
 //! of launch configurations, including multi-step iterative runs.
 
-use inplane_isl::core::execute_step;
+use inplane_isl::core::{execute_step, registry};
 use inplane_isl::prelude::*;
 use stencil_grid::{
     apply_reference, apply_reference_inplane_order, default_tolerance, max_abs_diff, verify_close,
@@ -21,13 +21,7 @@ fn configs() -> Vec<LaunchConfig> {
 
 #[test]
 fn every_method_every_order_sp() {
-    for method in [
-        Method::ForwardPlane,
-        Method::InPlane(Variant::Classical),
-        Method::InPlane(Variant::Vertical),
-        Method::InPlane(Variant::Horizontal),
-        Method::InPlane(Variant::FullSlice),
-    ] {
+    for rt in registry() {
         for order in [2usize, 4, 6] {
             let stencil = StarStencil::<f32>::from_order(order);
             let n = order + 9;
@@ -40,7 +34,7 @@ fn every_method_every_order_sp() {
             for config in configs() {
                 let mut got = Grid3::new(n, n, n);
                 execute_step(
-                    method,
+                    rt.method(),
                     &stencil,
                     &config,
                     &input,
@@ -48,21 +42,21 @@ fn every_method_every_order_sp() {
                     Boundary::CopyInput,
                 );
                 let mut golden = Grid3::new(n, n, n);
-                match method {
-                    Method::ForwardPlane => {
-                        apply_reference(&stencil, &input, &mut golden, Boundary::CopyInput)
-                    }
-                    Method::InPlane(_) => apply_reference_inplane_order(
+                if rt.inplane_reference_order() {
+                    apply_reference_inplane_order(
                         &stencil,
                         &input,
                         &mut golden,
                         Boundary::CopyInput,
-                    ),
+                    )
+                } else {
+                    apply_reference(&stencil, &input, &mut golden, Boundary::CopyInput)
                 }
                 assert_eq!(
                     max_abs_diff(&got, &golden),
                     0.0,
-                    "{method} order {order} at {config} must be bit-exact vs its reference"
+                    "{} order {order} at {config} must be bit-exact vs its reference",
+                    rt.label()
                 );
             }
         }
