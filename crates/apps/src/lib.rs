@@ -37,5 +37,5 @@ pub use hyperthermia::Hyperthermia;
 pub use inplane_exec::{apply_multigrid_inplane, ZSeparable};
 pub use laplacian::Laplacian3d;
 pub use poisson::Poisson;
-pub use suite::{all_apps, benchmark_app, benchmark_app_with, AppBenchResult};
+pub use suite::{all_apps, benchmark_app_with, AppBenchResult};
 pub use upstream::Upstream;

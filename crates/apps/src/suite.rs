@@ -47,20 +47,9 @@ impl AppBenchResult {
 }
 
 /// Tune and compare both methods for `app` on `device` (Fig 11's
-/// measurement for one bar group). `quick` restricts the search space to
+/// measurement for one bar group). Both methods' tuning sweeps share
+/// (and warm) `ctx`'s cache; `quick` restricts the search space to
 /// power-of-two blocks.
-pub fn benchmark_app<T: Real>(
-    device: &DeviceSpec,
-    app: &dyn MultiGridKernel<T>,
-    dims: GridDims,
-    quick: bool,
-    seed: u64,
-) -> AppBenchResult {
-    benchmark_app_with(EvalContext::global(), device, app, dims, quick, seed)
-}
-
-/// [`benchmark_app`] against an explicit evaluation context: both
-/// methods' tuning sweeps share (and warm) `ctx`'s cache.
 pub fn benchmark_app_with<T: Real>(
     ctx: &EvalContext,
     device: &DeviceSpec,
@@ -122,8 +111,9 @@ mod tests {
         // §V-A: Laplacian gains the most, Hyperthermia the least.
         let dev = DeviceSpec::gtx580();
         let dims = GridDims::new(256, 256, 64);
-        let lap = benchmark_app::<f32>(&dev, &Laplacian3d::default(), dims, true, 1);
-        let hyp = benchmark_app::<f32>(&dev, &Hyperthermia, dims, true, 1);
+        let ctx = EvalContext::new();
+        let lap = benchmark_app_with::<f32>(&ctx, &dev, &Laplacian3d::default(), dims, true, 1);
+        let hyp = benchmark_app_with::<f32>(&ctx, &dev, &Hyperthermia, dims, true, 1);
         assert!(
             lap.speedup() > hyp.speedup(),
             "Laplacian {:.2}x must beat Hyperthermia {:.2}x",
@@ -141,8 +131,9 @@ mod tests {
     fn all_apps_show_sane_results() {
         let dev = DeviceSpec::c2070();
         let dims = GridDims::new(256, 256, 32);
+        let ctx = EvalContext::new();
         for app in all_apps::<f32>() {
-            let r = benchmark_app::<f32>(&dev, app.as_ref(), dims, true, 2);
+            let r = benchmark_app_with::<f32>(&ctx, &dev, app.as_ref(), dims, true, 2);
             assert!(r.forward_mpoints > 0.0, "{}: forward must run", r.name);
             assert!(r.inplane_mpoints > 0.0, "{}: in-plane must run", r.name);
             assert!(

@@ -67,36 +67,23 @@ impl TuneOutcome {
     }
 }
 
-/// Measure every configuration in `space` and return the ranked outcome.
+/// Measure every configuration in `space` through `ctx` and return the
+/// ranked outcome.
 ///
 /// ```
 /// use gpu_sim::{DeviceSpec, GridDims};
-/// use inplane_core::{KernelSpec, Method, Variant};
-/// use stencil_autotune::{exhaustive_tune, ParameterSpace};
+/// use inplane_core::{EvalContext, KernelSpec, Method, Variant};
+/// use stencil_autotune::{exhaustive_tune_with, ParameterSpace};
 /// use stencil_grid::Precision;
 ///
+/// let ctx = EvalContext::new();
 /// let dev = DeviceSpec::gtx580();
 /// let dims = GridDims::new(256, 256, 32);
 /// let kernel = KernelSpec::star_order(Method::InPlane(Variant::FullSlice), 4, Precision::Single);
 /// let space = ParameterSpace::quick_space(&dev, &kernel, &dims);
-/// let best = exhaustive_tune(&dev, &kernel, dims, &space, 1).best;
+/// let best = exhaustive_tune_with(&ctx, &dev, &kernel, dims, &space, 1).best;
 /// assert!(best.mpoints > 0.0);
 /// ```
-///
-/// # Panics
-/// Panics if the space is empty (nothing to tune).
-pub fn exhaustive_tune(
-    device: &DeviceSpec,
-    kernel: &KernelSpec,
-    dims: GridDims,
-    space: &ParameterSpace,
-    seed: u64,
-) -> TuneOutcome {
-    exhaustive_tune_with(EvalContext::global(), device, kernel, dims, space, seed)
-}
-
-/// [`exhaustive_tune`] against an explicit evaluation context, for
-/// callers that manage cache scope (or read its counters) themselves.
 ///
 /// # Panics
 /// Panics if the space is empty (nothing to tune).
@@ -176,7 +163,7 @@ mod tests {
         let dims = GridDims::new(256, 256, 64);
         let k = kernel(4);
         let space = ParameterSpace::quick_space(&dev, &k, &dims);
-        let out = exhaustive_tune(&dev, &k, dims, &space, 1);
+        let out = exhaustive_tune_with(&EvalContext::new(), &dev, &k, dims, &space, 1);
         assert!(out.best.mpoints > 0.0);
         assert_eq!(out.evaluated(), space.len());
         // Ranked descending.
@@ -191,8 +178,8 @@ mod tests {
         let dims = GridDims::new(256, 256, 32);
         let k = kernel(2);
         let space = ParameterSpace::quick_space(&dev, &k, &dims);
-        let a = exhaustive_tune(&dev, &k, dims, &space, 9);
-        let b = exhaustive_tune(&dev, &k, dims, &space, 9);
+        let a = exhaustive_tune_with(&EvalContext::new(), &dev, &k, dims, &space, 9);
+        let b = exhaustive_tune_with(&EvalContext::new(), &dev, &k, dims, &space, 9);
         assert_eq!(a.best.config, b.best.config);
         assert_eq!(a.best.mpoints, b.best.mpoints);
     }
@@ -203,7 +190,7 @@ mod tests {
         let dims = GridDims::paper();
         let k = kernel(4);
         let space = ParameterSpace::quick_space(&dev, &k, &dims);
-        let out = exhaustive_tune(&dev, &k, dims, &space, 1);
+        let out = exhaustive_tune_with(&EvalContext::new(), &dev, &k, dims, &space, 1);
         let poor = out
             .samples
             .iter()
@@ -217,7 +204,8 @@ mod tests {
     fn empty_space_panics() {
         let dev = DeviceSpec::gtx580();
         let k = kernel(2);
-        exhaustive_tune(
+        exhaustive_tune_with(
+            &EvalContext::new(),
             &dev,
             &k,
             GridDims::paper(),
@@ -235,7 +223,7 @@ mod tests {
             LaunchConfig::new(32, 4, 1, 1),
             LaunchConfig::new(64, 2, 1, 1),
         ]);
-        let out = exhaustive_tune(&dev, &k, dims, &space, 3);
+        let out = exhaustive_tune_with(&EvalContext::new(), &dev, &k, dims, &space, 3);
         assert_eq!(out.top(10).len(), 2);
         assert_eq!(out.top(1).len(), 1);
     }

@@ -26,19 +26,12 @@ pub mod stochastic;
 pub mod surface;
 
 pub use exhaustive::{
-    exhaustive_tune, exhaustive_tune_selected, exhaustive_tune_with, Provenance, TuneOutcome,
-    TuneSample,
+    exhaustive_tune_selected, exhaustive_tune_with, Provenance, TuneOutcome, TuneSample,
 };
 pub use model::predict_mpoints;
-pub use model_based::{
-    model_based_tune, model_based_tune_seeded_with, model_based_tune_selected,
-    model_based_tune_with, ModelBasedOutcome,
-};
-pub use report::{summarize, summarize_with, KernelVerifySummary, StoreCounters, TuneReport};
+pub use model_based::{model_based_tune_seeded_with, model_based_tune_with, ModelBasedOutcome};
+pub use report::{summarize_with, KernelVerifySummary, StoreCounters, TuneReport};
 pub use selector::{RoutineChoice, RoutineRank, RoutineSelector, RoutineStrategy};
 pub use space::{ParameterSpace, SpaceAudit};
-pub use stochastic::{
-    stochastic_tune, stochastic_tune_selected, stochastic_tune_with, AnnealOptions,
-    StochasticOutcome,
-};
-pub use surface::{performance_surface, performance_surface_with, SurfacePoint};
+pub use stochastic::{stochastic_tune_with, AnnealOptions, StochasticOutcome};
+pub use surface::{performance_surface_with, SurfacePoint};

@@ -292,7 +292,7 @@ mod tests {
         // Spearman-ish sanity: over a spread of configs, the model's
         // ranking should broadly agree with the detailed simulator
         // (the whole premise of §VI's model-based tuning).
-        use inplane_core::simulate_star_kernel;
+        let ctx = inplane_core::EvalContext::new();
         let dev = DeviceSpec::gtx580();
         let k = kernel(4);
         let dims = GridDims::paper();
@@ -309,7 +309,7 @@ mod tests {
             .map(|c| {
                 (
                     predict_mpoints(&dev, &k, c, &dims),
-                    simulate_star_kernel(&dev, &k, c, dims).mpoints_per_s(),
+                    ctx.evaluate(&dev, &k, c, dims).mpoints_per_s(),
                 )
             })
             .collect();

@@ -4,10 +4,9 @@
 
 use crate::exhaustive::{Provenance, TuneSample};
 use crate::model::predict_mpoints;
-use crate::selector::{RoutineChoice, RoutineSelector};
 use crate::space::ParameterSpace;
 use gpu_sim::{DeviceSpec, GridDims};
-use inplane_core::{EvalContext, KernelSpec, LaunchConfig, RoutineDiag};
+use inplane_core::{EvalContext, KernelSpec, LaunchConfig};
 use rayon::prelude::*;
 
 /// Result of a model-based tuning run.
@@ -49,31 +48,8 @@ impl ModelBasedOutcome {
     }
 }
 
-/// Run model-based tuning with cutoff `beta_percent` (the paper uses 5).
-///
-/// # Panics
-/// Panics on an empty space or a non-positive β.
-pub fn model_based_tune(
-    device: &DeviceSpec,
-    kernel: &KernelSpec,
-    dims: GridDims,
-    space: &ParameterSpace,
-    beta_percent: f64,
-    seed: u64,
-) -> ModelBasedOutcome {
-    model_based_tune_with(
-        EvalContext::global(),
-        device,
-        kernel,
-        dims,
-        space,
-        beta_percent,
-        seed,
-    )
-}
-
-/// [`model_based_tune`] against an explicit evaluation context, for
-/// callers that manage cache scope themselves.
+/// Run model-based tuning with cutoff `beta_percent` (the paper uses
+/// 5), measuring the shortlist through `ctx`.
 ///
 /// # Panics
 /// Panics on an empty space or a non-positive β.
@@ -88,33 +64,6 @@ pub fn model_based_tune_with(
     seed: u64,
 ) -> ModelBasedOutcome {
     model_based_tune_seeded_with(ctx, device, kernel, dims, space, beta_percent, seed, &[])
-}
-
-/// Run the [`RoutineSelector`] first, then model-rank and tune the
-/// chosen routine's kernel respec. Errors are the selector's coded
-/// rejection.
-///
-/// # Panics
-/// Panics on an empty space or a non-positive β.
-#[allow(clippy::too_many_arguments)]
-pub fn model_based_tune_selected(
-    ctx: &EvalContext,
-    selector: &RoutineSelector,
-    device: &DeviceSpec,
-    kernel: &KernelSpec,
-    dims: GridDims,
-    space: &ParameterSpace,
-    beta_percent: f64,
-    seed: u64,
-) -> Result<(RoutineChoice, ModelBasedOutcome), RoutineDiag> {
-    assert!(
-        !space.is_empty(),
-        "cannot tune over an empty parameter space"
-    );
-    let probe = space.configs()[0];
-    let (choice, kernel) = selector.select_kernel(device, kernel, &dims, &probe)?;
-    let outcome = model_based_tune_with(ctx, device, &kernel, dims, space, beta_percent, seed);
-    Ok((choice, outcome))
 }
 
 /// [`model_based_tune_with`] with a warm-start: `warm_seeds` are
@@ -203,7 +152,7 @@ pub fn model_based_tune_seeded_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exhaustive::exhaustive_tune;
+    use crate::exhaustive::exhaustive_tune_with;
     use inplane_core::{Method, Variant};
     use stencil_grid::Precision;
 
@@ -221,7 +170,7 @@ mod tests {
         let dims = GridDims::new(256, 256, 32);
         let k = kernel(4);
         let space = ParameterSpace::quick_space(&dev, &k, &dims);
-        let out = model_based_tune(&dev, &k, dims, &space, 5.0, 1);
+        let out = model_based_tune_with(&EvalContext::new(), &dev, &k, dims, &space, 5.0, 1);
         assert_eq!(out.space_size, space.len());
         assert!(out.executed <= (space.len() as f64 * 0.05).ceil() as usize);
         assert!(out.executed_fraction() <= 0.06);
@@ -238,8 +187,8 @@ mod tests {
             let dev = DeviceSpec::gtx580();
             let k = kernel(order);
             let space = ParameterSpace::quick_space(&dev, &k, &dims);
-            let ex = exhaustive_tune(&dev, &k, dims, &space, 1);
-            let mb = model_based_tune(&dev, &k, dims, &space, 5.0, 1);
+            let ex = exhaustive_tune_with(&EvalContext::new(), &dev, &k, dims, &space, 1);
+            let mb = model_based_tune_with(&EvalContext::new(), &dev, &k, dims, &space, 5.0, 1);
             let ratio = mb.best.mpoints / ex.best.mpoints;
             assert!(
                 ratio > 0.90,
@@ -259,8 +208,8 @@ mod tests {
         let dims = GridDims::new(256, 256, 32);
         let k = kernel(2);
         let space = ParameterSpace::quick_space(&dev, &k, &dims);
-        let ex = exhaustive_tune(&dev, &k, dims, &space, 4);
-        let mb = model_based_tune(&dev, &k, dims, &space, 100.0, 4);
+        let ex = exhaustive_tune_with(&EvalContext::new(), &dev, &k, dims, &space, 4);
+        let mb = model_based_tune_with(&EvalContext::new(), &dev, &k, dims, &space, 100.0, 4);
         assert_eq!(mb.best.config, ex.best.config);
         assert_eq!(mb.executed, space.len());
     }
@@ -271,7 +220,7 @@ mod tests {
         let dims = GridDims::new(256, 256, 32);
         let k = kernel(4);
         let space = ParameterSpace::quick_space(&dev, &k, &dims);
-        let out = model_based_tune(&dev, &k, dims, &space, 10.0, 1);
+        let out = model_based_tune_with(&EvalContext::new(), &dev, &k, dims, &space, 10.0, 1);
         for w in out.candidates.windows(2) {
             assert!(w[0].1 >= w[1].1, "predictions must be descending");
         }
@@ -284,6 +233,6 @@ mod tests {
         let k = kernel(2);
         let dims = GridDims::new(128, 128, 16);
         let space = ParameterSpace::quick_space(&dev, &k, &dims);
-        model_based_tune(&dev, &k, dims, &space, 0.0, 1);
+        model_based_tune_with(&EvalContext::new(), &dev, &k, dims, &space, 0.0, 1);
     }
 }

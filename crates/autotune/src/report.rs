@@ -5,8 +5,8 @@
 //! observable.
 
 use crate::exhaustive::TuneOutcome;
-use gpu_sim::{DeviceSpec, GridDims, LimitingFactor, SimOptions};
-use inplane_core::{simulate_kernel, CacheStats, EvalContext, ExecStats, KernelSpec};
+use gpu_sim::{DeviceSpec, GridDims, LimitingFactor};
+use inplane_core::{CacheStats, EvalContext, ExecStats, KernelSpec};
 
 /// Counters of a persistent tune store, as surfaced in a [`TuneReport`].
 ///
@@ -40,14 +40,18 @@ pub struct KernelVerifySummary {
 impl KernelVerifySummary {
     /// Run the kernel verifier on `config`'s emitted source for every
     /// supported backend, over the minimal one-block grid the sweep
-    /// contract uses (`2R + WX × 2R + WY × 2R + 2`).
+    /// contract uses (`2R + WX × 2R + WY × 2R + 2`), with the GTX580's
+    /// 128-byte coalescing geometry.
     pub fn for_config(kernel: &KernelSpec, config: &inplane_core::LaunchConfig) -> Self {
         let r = kernel.radius;
         let dims = (2 * r + config.tile_x(), 2 * r + config.tile_y(), 2 * r + 2);
-        let mut diags = stencil_lint::verify_cuda_kernel(kernel, config, dims);
+        let gtx580 = DeviceSpec::gtx580();
+        let mut diags = stencil_lint::verify_cuda_kernel_on(kernel, config, dims, &gtx580);
         let mut backends = 1;
         if kernel.method.routine().opencl_supported() {
-            diags.extend(stencil_lint::verify_opencl_kernel(kernel, config, dims));
+            diags.extend(stencil_lint::verify_opencl_kernel_on(
+                kernel, config, dims, &gtx580,
+            ));
             backends = 2;
         }
         KernelVerifySummary {
@@ -84,9 +88,9 @@ pub struct TuneReport {
     pub tuning_gain_over_median: f64,
     /// The limiting factor of the winning configuration.
     pub best_limited_by: LimitingFactor,
-    /// Evaluation-cache counters for the run (`None` when summarised
-    /// without a context).
-    pub cache: Option<CacheStats>,
+    /// Counters of the evaluation context the run and its summary
+    /// priced through.
+    pub cache: CacheStats,
     /// Persistent tune-store counters (`None` when no store was used).
     pub store: Option<StoreCounters>,
     /// Per-code rejection histogram from the space enumeration (`None`
@@ -124,9 +128,11 @@ fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// Summarise a completed tuning run (re-pricing the winner for its
-/// limiting factor).
-pub fn summarize(
+/// Summarise a completed tuning run: re-price the winner through `ctx`
+/// for its limiting factor, then capture `ctx`'s cache counters, so the
+/// reported counters include the summary's own lookup.
+pub fn summarize_with(
+    ctx: &EvalContext,
     device: &DeviceSpec,
     kernel: &KernelSpec,
     dims: GridDims,
@@ -141,13 +147,7 @@ pub fn summarize(
     feasible.sort_by(f64::total_cmp);
     let best = outcome.best.mpoints;
     let median = nearest_rank(&feasible, 0.5);
-    let rep = simulate_kernel(
-        device,
-        kernel,
-        &outcome.best.config,
-        dims,
-        &SimOptions::default(),
-    );
+    let rep = ctx.evaluate(device, kernel, &outcome.best.config, dims);
     TuneReport {
         evaluated: outcome.evaluated(),
         best,
@@ -157,7 +157,7 @@ pub fn summarize(
         worst_feasible: nearest_rank(&feasible, 0.0),
         tuning_gain_over_median: if median > 0.0 { best / median } else { 0.0 },
         best_limited_by: rep.limiting,
-        cache: None,
+        cache: ctx.stats(),
         store: None,
         rejections: None,
         exec: None,
@@ -165,20 +165,6 @@ pub fn summarize(
         predicted: None,
         kernel_verify: None,
     }
-}
-
-/// [`summarize`], capturing the evaluation-cache counters of the
-/// context the run used.
-pub fn summarize_with(
-    ctx: &EvalContext,
-    device: &DeviceSpec,
-    kernel: &KernelSpec,
-    dims: GridDims,
-    outcome: &TuneOutcome,
-) -> TuneReport {
-    let mut report = summarize(device, kernel, dims, outcome);
-    report.cache = Some(ctx.stats());
-    report
 }
 
 impl TuneReport {
@@ -248,15 +234,14 @@ impl TuneReport {
             self.worst_feasible,
             self.tuning_gain_over_median,
         );
-        if let Some(c) = self.cache {
-            out.push_str(&format!(
-                "\neval cache: {} hits / {} misses / {} inserts ({:.0}% hit rate)",
-                c.hits,
-                c.misses,
-                c.inserts,
-                100.0 * c.hit_rate(),
-            ));
-        }
+        let c = self.cache;
+        out.push_str(&format!(
+            "\neval cache: {} hits / {} misses / {} inserts ({:.0}% hit rate)",
+            c.hits,
+            c.misses,
+            c.inserts,
+            100.0 * c.hit_rate(),
+        ));
         if let Some(s) = self.store {
             out.push_str(&format!(
                 "\ntune store: {} hits / {} misses / {} corrupt-or-stale skipped",
@@ -332,12 +317,11 @@ impl TuneReport {
             self.tuning_gain_over_median,
             self.best_limited_by,
         );
-        if let Some(c) = self.cache {
-            s.push_str(&format!(
-                ",\"cache\":{{\"hits\":{},\"misses\":{},\"inserts\":{}}}",
-                c.hits, c.misses, c.inserts
-            ));
-        }
+        let c = self.cache;
+        s.push_str(&format!(
+            ",\"cache\":{{\"hits\":{},\"misses\":{},\"inserts\":{}}}",
+            c.hits, c.misses, c.inserts
+        ));
         if let Some(st) = self.store {
             s.push_str(&format!(
                 ",\"store\":{{\"hits\":{},\"misses\":{},\"corrupt\":{}}}",
@@ -410,23 +394,24 @@ impl TuneReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{exhaustive_tune, exhaustive_tune_with, ParameterSpace};
+    use crate::{exhaustive_tune_with, ParameterSpace};
     use inplane_core::{Method, Variant};
     use stencil_grid::Precision;
 
-    fn run() -> (DeviceSpec, KernelSpec, GridDims, TuneOutcome) {
+    fn run() -> (EvalContext, DeviceSpec, KernelSpec, GridDims, TuneOutcome) {
+        let ctx = EvalContext::new();
         let dev = DeviceSpec::gtx580();
         let k = KernelSpec::star_order(Method::InPlane(Variant::FullSlice), 4, Precision::Single);
         let dims = GridDims::new(256, 256, 32);
         let space = ParameterSpace::quick_space(&dev, &k, &dims);
-        let out = exhaustive_tune(&dev, &k, dims, &space, 1);
-        (dev, k, dims, out)
+        let out = exhaustive_tune_with(&ctx, &dev, &k, dims, &space, 1);
+        (ctx, dev, k, dims, out)
     }
 
     #[test]
     fn quartiles_are_ordered() {
-        let (dev, k, dims, out) = run();
-        let rep = summarize(&dev, &k, dims, &out);
+        let (ctx, dev, k, dims, out) = run();
+        let rep = summarize_with(&ctx, &dev, &k, dims, &out);
         assert!(rep.worst_feasible <= rep.q1);
         assert!(rep.q1 <= rep.median);
         assert!(rep.median <= rep.q3);
@@ -458,8 +443,8 @@ mod tests {
     fn tuning_buys_something_real() {
         // The paper's whole §IV-C point: the spread between a blind pick
         // and the tuned optimum is large.
-        let (dev, k, dims, out) = run();
-        let rep = summarize(&dev, &k, dims, &out);
+        let (ctx, dev, k, dims, out) = run();
+        let rep = summarize_with(&ctx, &dev, &k, dims, &out);
         assert!(
             rep.tuning_gain_over_median > 1.15,
             "tuning gain {:.2}",
@@ -469,12 +454,11 @@ mod tests {
 
     #[test]
     fn render_contains_the_numbers() {
-        let (dev, k, dims, out) = run();
-        let rep = summarize(&dev, &k, dims, &out);
+        let (ctx, dev, k, dims, out) = run();
+        let rep = summarize_with(&ctx, &dev, &k, dims, &out);
         let s = rep.render();
         assert!(s.contains("best"));
         assert!(s.contains("quartiles"));
-        assert!(!s.contains("eval cache"), "no counters without a context");
     }
 
     #[test]
@@ -483,19 +467,21 @@ mod tests {
         let k = KernelSpec::star_order(Method::InPlane(Variant::FullSlice), 4, Precision::Single);
         let dims = GridDims::new(256, 256, 32);
         let (space, audit) = ParameterSpace::paper_space_audited(&dev, &k, &dims);
-        let out = exhaustive_tune(&dev, &k, dims, &space, 1);
-        let rep = summarize(&dev, &k, dims, &out).with_rejections(audit.rejections.clone());
+        let ctx = EvalContext::new();
+        let out = exhaustive_tune_with(&ctx, &dev, &k, dims, &space, 1);
+        let rep =
+            summarize_with(&ctx, &dev, &k, dims, &out).with_rejections(audit.rejections.clone());
         let s = rep.render();
         assert!(s.contains("space rejections"), "{s}");
         assert!(s.contains("LNT-R002"), "{s}");
         // Without an audit the section is absent.
-        let plain = summarize(&dev, &k, dims, &out).render();
+        let plain = summarize_with(&ctx, &dev, &k, dims, &out).render();
         assert!(!plain.contains("space rejections"));
     }
 
     #[test]
     fn exec_stats_surface_in_render_and_json() {
-        let (dev, k, dims, out) = run();
+        let (ctx, dev, k, dims, out) = run();
         let stats = {
             use stencil_grid::{Boundary, FillPattern, Grid3, StarStencil};
             let s: StarStencil<f32> = StarStencil::from_order(4);
@@ -510,7 +496,7 @@ mod tests {
                 Boundary::CopyInput,
             )
         };
-        let rep = summarize(&dev, &k, dims, &out).with_exec(stats);
+        let rep = summarize_with(&ctx, &dev, &k, dims, &out).with_exec(stats);
         let rendered = rep.render();
         assert!(rendered.contains("winner replay:"), "{rendered}");
         assert!(rendered.contains("redundancy"), "{rendered}");
@@ -528,14 +514,14 @@ mod tests {
         // A plain single-step replay writes every point exactly once.
         assert!(json.contains("\"redundancy\":1.0000"), "{json}");
         // Without a replay the section is absent.
-        let plain = summarize(&dev, &k, dims, &out);
+        let plain = summarize_with(&ctx, &dev, &k, dims, &out);
         assert!(!plain.render().contains("winner replay"));
         assert!(!plain.to_json().contains("\"exec\""));
     }
 
     #[test]
     fn dataflow_and_oracle_surface_in_render_and_json() {
-        let (dev, k, dims, out) = run();
+        let (ctx, dev, k, dims, out) = run();
         let plan = inplane_core::lower_step(
             Method::InPlane(Variant::FullSlice),
             &inplane_core::LaunchConfig::new(4, 4, 1, 1),
@@ -551,7 +537,7 @@ mod tests {
             inplane_core::interpret_plan(&plan, &s, &input, &mut o)
         };
         let hist = vec![("LNT-D103".to_string(), 4u64)];
-        let rep = summarize(&dev, &k, dims, &out)
+        let rep = summarize_with(&ctx, &dev, &k, dims, &out)
             .with_dataflow(hist)
             .with_traffic(predicted)
             .with_exec(dynamic);
@@ -570,7 +556,7 @@ mod tests {
         // A doctored prediction is called out, not silently accepted.
         let mut wrong = predicted;
         wrong.cells_staged += 1;
-        let drifted = summarize(&dev, &k, dims, &out)
+        let drifted = summarize_with(&ctx, &dev, &k, dims, &out)
             .with_traffic(wrong)
             .with_exec(dynamic);
         assert_eq!(drifted.oracle_match(), Some(false));
@@ -581,7 +567,7 @@ mod tests {
         );
         assert!(drifted.to_json().contains("\"oracle_match\":false"));
         // Without attachments the sections are absent.
-        let plain = summarize(&dev, &k, dims, &out);
+        let plain = summarize_with(&ctx, &dev, &k, dims, &out);
         assert_eq!(plain.oracle_match(), None);
         assert!(!plain.render().contains("dataflow audit"));
         assert!(!plain.to_json().contains("\"predicted\""));
@@ -589,13 +575,13 @@ mod tests {
 
     #[test]
     fn kernel_verify_surfaces_in_render_and_json() {
-        let (dev, k, dims, out) = run();
+        let (ctx, dev, k, dims, out) = run();
         // The winner's emitted source is proven on both backends (the
         // full-slice routine has an OpenCL emitter) with zero findings.
         let v = KernelVerifySummary::for_config(&k, &out.best.config);
         assert_eq!(v.backends, 2);
         assert!(v.clean(), "{v:?}");
-        let rep = summarize(&dev, &k, dims, &out).with_kernel_verify(v);
+        let rep = summarize_with(&ctx, &dev, &k, dims, &out).with_kernel_verify(v);
         let rendered = rep.render();
         assert!(
             rendered.contains("kernel verify: 2 backend(s) proven, clean"),
@@ -608,16 +594,17 @@ mod tests {
         );
         // A dirty verdict is rendered as an error count, and without an
         // attachment the section is absent.
-        let dirty = summarize(&dev, &k, dims, &out).with_kernel_verify(KernelVerifySummary {
-            backends: 1,
-            errors: 3,
-        });
+        let dirty =
+            summarize_with(&ctx, &dev, &k, dims, &out).with_kernel_verify(KernelVerifySummary {
+                backends: 1,
+                errors: 3,
+            });
         assert!(
             dirty.render().contains("3 LNT-K error(s)"),
             "{}",
             dirty.render()
         );
-        let plain = summarize(&dev, &k, dims, &out);
+        let plain = summarize_with(&ctx, &dev, &k, dims, &out);
         assert!(!plain.render().contains("kernel verify"));
         assert!(!plain.to_json().contains("\"kernel_verify\""));
     }
@@ -630,13 +617,18 @@ mod tests {
         let space = ParameterSpace::quick_space(&dev, &k, &dims);
         let ctx = EvalContext::new();
         let out = exhaustive_tune_with(&ctx, &dev, &k, dims, &space, 1);
+        let tuned = ctx.stats();
         let rep = summarize_with(&ctx, &dev, &k, dims, &out).with_store(StoreCounters {
             hits: 1,
             misses: 2,
             corrupt: 0,
         });
-        let cache = rep.cache.expect("cache counters captured");
-        assert_eq!(cache.misses as usize, space.len());
+        // The summary re-prices the winner through the context it
+        // reports: exactly one cache hit, no new pricing.
+        assert_eq!(tuned.misses as usize, space.len());
+        assert_eq!(ctx.stats().hits, tuned.hits + 1);
+        assert_eq!(ctx.stats().misses, tuned.misses);
+        assert_eq!(rep.cache, ctx.stats());
         let s = rep.render();
         assert!(s.contains("eval cache:"));
         assert!(s.contains("tune store: 1 hits / 2 misses"));

@@ -13,10 +13,9 @@
 //!   bytes ([`stencil_lint::predict_traffic`]) — oracle-first selection:
 //!   no candidate is ever executed to be rejected.
 //!
-//! The per-tuner entry points (`exhaustive_tune_selected`,
-//! `model_based_tune_selected`, `stochastic_tune_selected`, and the
-//! bench crate's `tune_best_auto`) run the selector first and then tune
-//! the chosen routine's kernel respec over the usual space.
+//! `exhaustive_tune_selected` (and the bench crate's `tune_best_auto`,
+//! built on it) runs the selector first and then tunes the chosen
+//! routine's kernel respec over the usual space.
 
 use gpu_sim::{DeviceSpec, GridDims};
 use inplane_core::{

@@ -10,10 +10,9 @@
 //! deterministic for a given seed.
 
 use crate::exhaustive::TuneSample;
-use crate::selector::{RoutineChoice, RoutineSelector};
 use crate::space::ParameterSpace;
 use gpu_sim::{DeviceSpec, GridDims};
-use inplane_core::{EvalContext, KernelSpec, LaunchConfig, RoutineDiag};
+use inplane_core::{EvalContext, KernelSpec, LaunchConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -93,57 +92,8 @@ fn neighbours(
     out
 }
 
-/// Run simulated annealing over the feasible space.
-///
-/// # Panics
-/// Panics if the space is empty.
-pub fn stochastic_tune(
-    device: &DeviceSpec,
-    kernel: &KernelSpec,
-    dims: GridDims,
-    space: &ParameterSpace,
-    opts: &AnnealOptions,
-    seed: u64,
-) -> StochasticOutcome {
-    stochastic_tune_with(
-        EvalContext::global(),
-        device,
-        kernel,
-        dims,
-        space,
-        opts,
-        seed,
-    )
-}
-
-/// Run the [`RoutineSelector`] first, then anneal over the chosen
-/// routine's kernel respec. Errors are the selector's coded rejection.
-///
-/// # Panics
-/// Panics if the space is empty.
-#[allow(clippy::too_many_arguments)]
-pub fn stochastic_tune_selected(
-    ctx: &EvalContext,
-    selector: &RoutineSelector,
-    device: &DeviceSpec,
-    kernel: &KernelSpec,
-    dims: GridDims,
-    space: &ParameterSpace,
-    opts: &AnnealOptions,
-    seed: u64,
-) -> Result<(RoutineChoice, StochasticOutcome), RoutineDiag> {
-    assert!(
-        !space.is_empty(),
-        "cannot tune over an empty parameter space"
-    );
-    let probe = space.configs()[0];
-    let (choice, kernel) = selector.select_kernel(device, kernel, &dims, &probe)?;
-    let outcome = stochastic_tune_with(ctx, device, &kernel, dims, space, opts, seed);
-    Ok((choice, outcome))
-}
-
-/// [`stochastic_tune`] against an explicit evaluation context, for
-/// callers that manage cache scope themselves.
+/// Run simulated annealing over the feasible space, measuring through
+/// `ctx`.
 ///
 /// # Panics
 /// Panics if the space is empty.
@@ -235,7 +185,7 @@ pub fn stochastic_tune_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exhaustive::exhaustive_tune;
+    use crate::exhaustive::exhaustive_tune_with;
     use inplane_core::{Method, Variant};
     use stencil_grid::Precision;
 
@@ -250,8 +200,24 @@ mod tests {
     #[test]
     fn annealing_is_deterministic() {
         let (dev, k, dims, space) = setup();
-        let a = stochastic_tune(&dev, &k, dims, &space, &AnnealOptions::default(), 3);
-        let b = stochastic_tune(&dev, &k, dims, &space, &AnnealOptions::default(), 3);
+        let a = stochastic_tune_with(
+            &EvalContext::new(),
+            &dev,
+            &k,
+            dims,
+            &space,
+            &AnnealOptions::default(),
+            3,
+        );
+        let b = stochastic_tune_with(
+            &EvalContext::new(),
+            &dev,
+            &k,
+            dims,
+            &space,
+            &AnnealOptions::default(),
+            3,
+        );
         assert_eq!(a.best, b.best);
         assert_eq!(a.trace, b.trace);
     }
@@ -263,7 +229,7 @@ mod tests {
             evaluations: 25,
             ..AnnealOptions::default()
         };
-        let out = stochastic_tune(&dev, &k, dims, &space, &opts, 1);
+        let out = stochastic_tune_with(&EvalContext::new(), &dev, &k, dims, &space, &opts, 1);
         assert!(out.executed <= 25);
         assert!(out.best.mpoints > 0.0);
     }
@@ -271,10 +237,18 @@ mod tests {
     #[test]
     fn annealing_gets_close_to_exhaustive_with_a_fraction_of_the_work() {
         let (dev, k, dims, space) = setup();
-        let ex = exhaustive_tune(&dev, &k, dims, &space, 1);
+        let ex = exhaustive_tune_with(&EvalContext::new(), &dev, &k, dims, &space, 1);
         let mut best_ratio = 0.0f64;
         for seed in 0..4 {
-            let out = stochastic_tune(&dev, &k, dims, &space, &AnnealOptions::default(), seed);
+            let out = stochastic_tune_with(
+                &EvalContext::new(),
+                &dev,
+                &k,
+                dims,
+                &space,
+                &AnnealOptions::default(),
+                seed,
+            );
             best_ratio = best_ratio.max(out.best.mpoints / ex.best.mpoints);
         }
         assert!(
@@ -286,7 +260,15 @@ mod tests {
     #[test]
     fn walk_stays_feasible() {
         let (dev, k, dims, space) = setup();
-        let out = stochastic_tune(&dev, &k, dims, &space, &AnnealOptions::default(), 7);
+        let out = stochastic_tune_with(
+            &EvalContext::new(),
+            &dev,
+            &k,
+            dims,
+            &space,
+            &AnnealOptions::default(),
+            7,
+        );
         for s in &out.trace {
             assert!(
                 ParameterSpace::feasible(&dev, &k, &dims, &s.config),

@@ -21,20 +21,7 @@ pub struct SurfacePoint {
 }
 
 /// Measure the `(RX, RY)` surface at fixed `(tx, ty)` over the factors
-/// `{1, 2, 4, 8}` (the paper's Fig 8 axes).
-pub fn performance_surface(
-    device: &DeviceSpec,
-    kernel: &KernelSpec,
-    dims: GridDims,
-    tx: usize,
-    ty: usize,
-    seed: u64,
-) -> Vec<SurfacePoint> {
-    performance_surface_with(EvalContext::global(), device, kernel, dims, tx, ty, seed)
-}
-
-/// [`performance_surface`] against an explicit evaluation context, for
-/// callers that manage cache scope themselves.
+/// `{1, 2, 4, 8}` (the paper's Fig 8 axes) through `ctx`.
 pub fn performance_surface_with(
     ctx: &EvalContext,
     device: &DeviceSpec,
@@ -69,7 +56,8 @@ mod tests {
     fn surface_has_16_points_with_zeroed_infeasibles() {
         let dev = DeviceSpec::gtx580();
         let k = KernelSpec::star_order(Method::InPlane(Variant::FullSlice), 2, Precision::Single);
-        let surf = performance_surface(&dev, &k, GridDims::paper(), 256, 1, 1);
+        let surf =
+            performance_surface_with(&EvalContext::new(), &dev, &k, GridDims::paper(), 256, 1, 1);
         assert_eq!(surf.len(), 16);
         // (256,1,8,8) tiles 2048 in x > 512: must be zero.
         let p = surf.iter().find(|p| p.rx == 8 && p.ry == 8).unwrap();
@@ -85,7 +73,8 @@ mod tests {
         // peaks at RY = 8 (the paper's optimum (256, 1, 1, 8)).
         let dev = DeviceSpec::gtx580();
         let k = KernelSpec::star_order(Method::InPlane(Variant::FullSlice), 2, Precision::Single);
-        let surf = performance_surface(&dev, &k, GridDims::paper(), 256, 1, 1);
+        let surf =
+            performance_surface_with(&EvalContext::new(), &dev, &k, GridDims::paper(), 256, 1, 1);
         let best = surf
             .iter()
             .max_by(|a, b| a.mpoints.total_cmp(&b.mpoints))

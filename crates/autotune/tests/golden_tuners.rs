@@ -10,7 +10,7 @@
 use gpu_sim::{DeviceSpec, GridDims};
 use inplane_core::{EvalContext, KernelSpec, LaunchConfig, Method, Variant};
 use stencil_autotune::{
-    exhaustive_tune, exhaustive_tune_with, model_based_tune, performance_surface, stochastic_tune,
+    exhaustive_tune_with, model_based_tune_with, performance_surface_with, stochastic_tune_with,
     AnnealOptions, ParameterSpace,
 };
 use stencil_grid::Precision;
@@ -29,7 +29,7 @@ fn setup() -> (DeviceSpec, KernelSpec, GridDims, ParameterSpace) {
 #[test]
 fn golden_exhaustive() {
     let (dev, k, dims, space) = setup();
-    let out = exhaustive_tune(&dev, &k, dims, &space, SEED);
+    let out = exhaustive_tune_with(&EvalContext::new(), &dev, &k, dims, &space, SEED);
     assert_eq!(out.best.config, LaunchConfig::new(128, 4, 2, 4));
     assert!(
         (out.best.mpoints - 14947.005681).abs() < TOL,
@@ -41,7 +41,7 @@ fn golden_exhaustive() {
 #[test]
 fn golden_model_based() {
     let (dev, k, dims, space) = setup();
-    let out = model_based_tune(&dev, &k, dims, &space, 5.0, SEED);
+    let out = model_based_tune_with(&EvalContext::new(), &dev, &k, dims, &space, 5.0, SEED);
     assert_eq!(out.best.config, LaunchConfig::new(128, 4, 2, 4));
     assert!(
         (out.best.mpoints - 14947.005681).abs() < TOL,
@@ -54,7 +54,15 @@ fn golden_model_based() {
 #[test]
 fn golden_stochastic() {
     let (dev, k, dims, space) = setup();
-    let out = stochastic_tune(&dev, &k, dims, &space, &AnnealOptions::default(), SEED);
+    let out = stochastic_tune_with(
+        &EvalContext::new(),
+        &dev,
+        &k,
+        dims,
+        &space,
+        &AnnealOptions::default(),
+        SEED,
+    );
     assert_eq!(out.best.config, LaunchConfig::new(64, 8, 4, 2));
     assert!(
         (out.best.mpoints - 14743.248264).abs() < TOL,
@@ -67,7 +75,7 @@ fn golden_stochastic() {
 #[test]
 fn golden_surface() {
     let (dev, k, dims, _) = setup();
-    let surf = performance_surface(&dev, &k, dims, 256, 1, SEED);
+    let surf = performance_surface_with(&EvalContext::new(), &dev, &k, dims, 256, 1, SEED);
     let best = surf
         .iter()
         .max_by(|a, b| a.mpoints.total_cmp(&b.mpoints))
@@ -82,15 +90,17 @@ fn golden_surface() {
 
 #[test]
 fn golden_is_cache_state_independent() {
-    // The same sweep against a cold private context and against the
-    // (likely warm) global context must agree bit for bit — caching can
-    // never change a result, only skip recomputation.
+    // The same sweep against a cold context and against a context an
+    // identical sweep already warmed must agree bit for bit — caching
+    // can never change a result, only skip recomputation.
     let (dev, k, dims, space) = setup();
-    let global = exhaustive_tune(&dev, &k, dims, &space, SEED);
+    let warm_ctx = EvalContext::new();
+    exhaustive_tune_with(&warm_ctx, &dev, &k, dims, &space, SEED);
+    let warm = exhaustive_tune_with(&warm_ctx, &dev, &k, dims, &space, SEED);
     let cold = exhaustive_tune_with(&EvalContext::new(), &dev, &k, dims, &space, SEED);
-    assert_eq!(global.best.config, cold.best.config);
-    assert_eq!(global.best.mpoints.to_bits(), cold.best.mpoints.to_bits());
-    for (a, b) in global.samples.iter().zip(&cold.samples) {
+    assert_eq!(warm.best.config, cold.best.config);
+    assert_eq!(warm.best.mpoints.to_bits(), cold.best.mpoints.to_bits());
+    for (a, b) in warm.samples.iter().zip(&cold.samples) {
         assert_eq!(a.config, b.config);
         assert_eq!(a.mpoints.to_bits(), b.mpoints.to_bits());
     }

@@ -3,9 +3,11 @@
 
 use gpu_sim::{DeviceSpec, GridDims};
 use inplane_core::resources::smem_bytes;
-use inplane_core::{KernelSpec, LaunchConfig, Method, Variant};
+use inplane_core::{EvalContext, KernelSpec, LaunchConfig, Method, Variant};
 use proptest::prelude::*;
-use stencil_autotune::{exhaustive_tune, model_based_tune, predict_mpoints, ParameterSpace};
+use stencil_autotune::{
+    exhaustive_tune_with, model_based_tune_with, predict_mpoints, ParameterSpace,
+};
 use stencil_grid::Precision;
 
 fn arb_device() -> impl Strategy<Value = DeviceSpec> {
@@ -70,11 +72,12 @@ proptest! {
         let k = KernelSpec::star_order(Method::InPlane(Variant::FullSlice), 4, Precision::Single);
         let dims = GridDims::new(256, 256, 32);
         let space = ParameterSpace::quick_space(&dev, &k, &dims);
-        let ex = exhaustive_tune(&dev, &k, dims, &space, seed);
+        let ctx = EvalContext::new();
+        let ex = exhaustive_tune_with(&ctx, &dev, &k, dims, &space, seed);
         for s in ex.samples.iter() {
             prop_assert!(ex.best.mpoints >= s.mpoints);
         }
-        let mb = model_based_tune(&dev, &k, dims, &space, 10.0, seed);
+        let mb = model_based_tune_with(&ctx, &dev, &k, dims, &space, 10.0, seed);
         prop_assert!(mb.best.mpoints <= ex.best.mpoints + 1e-9);
         // The model-based pick is one of the space's configurations.
         prop_assert!(space.configs().contains(&mb.best.config));

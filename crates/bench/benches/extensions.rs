@@ -5,8 +5,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpu_sim::{simulate_block_plane, DeviceSpec, GridDims};
 use inplane_core::simulate::build_block_plan;
-use inplane_core::{KernelSpec, LaunchConfig, Method, Variant};
-use stencil_autotune::{stochastic_tune, AnnealOptions, ParameterSpace};
+use inplane_core::{EvalContext, KernelSpec, LaunchConfig, Method, Variant};
+use stencil_autotune::{stochastic_tune_with, AnnealOptions, ParameterSpace};
 use stencil_codegen::{generate_kernel, generate_opencl_kernel};
 use stencil_grid::{FillPattern, Grid3, Precision, StarStencil};
 use stencil_temporal::execute_temporal;
@@ -66,8 +66,9 @@ fn bench_stochastic(c: &mut Criterion) {
         evaluations: 30,
         ..AnnealOptions::default()
     };
+    let ctx = EvalContext::new();
     c.bench_function("stochastic_tune_30_evals", |b| {
-        b.iter(|| stochastic_tune(&dev, &kernel, dims, &space, &opts, 1))
+        b.iter(|| stochastic_tune_with(&ctx, &dev, &kernel, dims, &space, &opts, 1))
     });
 }
 

@@ -4,11 +4,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpu_sim::{coalesce_transactions, DeviceSpec, GridDims, WarpLoad};
-use inplane_core::{simulate_star_kernel, KernelSpec, LaunchConfig, Method, Variant};
+use inplane_core::{EvalContext, KernelSpec, LaunchConfig, Method, Variant};
 use stencil_grid::Precision;
 
 fn bench_simulate(c: &mut Criterion) {
     let dims = GridDims::paper();
+    let ctx = EvalContext::new();
     let mut group = c.benchmark_group("simulate_one_launch");
     for (label, method) in [
         ("nvstencil", Method::ForwardPlane),
@@ -19,7 +20,7 @@ fn bench_simulate(c: &mut Criterion) {
             let dev = DeviceSpec::gtx580();
             let config = LaunchConfig::new(64, 8, 1, 2);
             group.bench_with_input(BenchmarkId::new(label, order), &kernel, |b, k| {
-                b.iter(|| simulate_star_kernel(&dev, k, &config, dims))
+                b.iter(|| ctx.evaluate(&dev, k, &config, dims))
             });
         }
     }

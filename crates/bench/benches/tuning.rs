@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpu_sim::{DeviceSpec, GridDims};
 use inplane_core::{EvalContext, KernelSpec, Method, Variant};
 use stencil_autotune::{
-    exhaustive_tune, exhaustive_tune_with, model_based_tune, predict_mpoints, ParameterSpace,
+    exhaustive_tune_with, model_based_tune_with, predict_mpoints, ParameterSpace,
 };
 use stencil_grid::Precision;
 
@@ -16,6 +16,7 @@ fn bench_tuners(c: &mut Criterion) {
     let dims = GridDims::paper();
     let kernel = KernelSpec::star_order(Method::InPlane(Variant::FullSlice), 4, Precision::Single);
     let space = ParameterSpace::quick_space(&dev, &kernel, &dims);
+    let ctx = EvalContext::new();
 
     let mut group = c.benchmark_group("autotune");
     group.sample_size(20);
@@ -23,14 +24,14 @@ fn bench_tuners(c: &mut Criterion) {
         BenchmarkId::new("exhaustive", space.len()),
         &space,
         |b, s| {
-            b.iter(|| exhaustive_tune(&dev, &kernel, dims, s, 1));
+            b.iter(|| exhaustive_tune_with(&ctx, &dev, &kernel, dims, s, 1));
         },
     );
     group.bench_with_input(
         BenchmarkId::new("model_based_5pct", space.len()),
         &space,
         |b, s| {
-            b.iter(|| model_based_tune(&dev, &kernel, dims, s, 5.0, 1));
+            b.iter(|| model_based_tune_with(&ctx, &dev, &kernel, dims, s, 5.0, 1));
         },
     );
     group.finish();

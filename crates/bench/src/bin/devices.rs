@@ -17,10 +17,12 @@
 //! any device fails to tune or the wave64 device is missing.
 
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use gpu_sim::{DeviceSpec, GridDims};
-use inplane_core::{KernelSpec, Method, Variant};
-use stencil_bench::exp::tune_best_auto;
+use inplane_core::{EvalContext, KernelSpec, Method, Variant};
+use stencil_bench::exp::{service_at, tune_best_auto};
+use stencil_bench::opts::TUNE_STORE_ENV;
 use stencil_grid::Precision;
 use stencil_lint::json_string;
 
@@ -65,12 +67,26 @@ fn main() -> ExitCode {
         "registry must include a wave64 device"
     );
 
+    let ctx = Arc::new(EvalContext::new());
+    let svc = std::env::var(TUNE_STORE_ENV)
+        .ok()
+        .filter(|p| !p.is_empty())
+        .and_then(|p| service_at(&p, &ctx));
     let mut rows: Vec<String> = Vec::new();
     let mut failed = 0usize;
     for device in &devices {
         let kernel =
             KernelSpec::star_order(Method::InPlane(Variant::FullSlice), 2, Precision::Single);
-        match tune_best_auto(device, &kernel, dims, true, args.quick, 42) {
+        match tune_best_auto(
+            &ctx,
+            svc.as_ref(),
+            device,
+            &kernel,
+            dims,
+            true,
+            args.quick,
+            42,
+        ) {
             Ok((choice, best)) => {
                 let ranking: Vec<String> = choice
                     .ranking

@@ -1,8 +1,14 @@
 //! Regenerates Fig 10: breakdown of speedup contributions.
+use std::sync::Arc;
+
+use inplane_core::EvalContext;
 use stencil_bench::{exp::fig10, RunOpts};
+
 fn main() {
     let opts = RunOpts::from_env();
-    let cells = fig10::compute(&opts);
+    let ctx = Arc::new(EvalContext::new());
+    let svc = opts.tune_service(&ctx);
+    let cells = fig10::compute(&ctx, svc.as_ref(), &opts);
     let table = fig10::render(&cells);
     table.print("Fig 10: speedup breakdown over tuned nvstencil (SP)");
     table.maybe_csv(&opts.csv_dir, "fig10");

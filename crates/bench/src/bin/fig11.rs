@@ -1,8 +1,10 @@
 //! Regenerates Fig 11 / Table V: application stencil benchmarks.
+use inplane_core::EvalContext;
 use stencil_bench::{exp::fig11, RunOpts};
 fn main() {
     let opts = RunOpts::from_env();
-    for r in fig11::compute(&opts) {
+    let ctx = EvalContext::new();
+    for r in fig11::compute(&ctx, &opts) {
         fig11::render(&r).print(&format!(
             "Fig 11 / Table V: application stencils on {} ({})",
             r.device,

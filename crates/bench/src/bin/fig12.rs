@@ -1,10 +1,16 @@
 //! Regenerates Fig 12: model-based vs exhaustive auto-tuning (beta = 5%),
 //! plus a beta-sensitivity sweep showing where the model-vs-measurement
 //! gap appears.
+use std::sync::Arc;
+
+use inplane_core::EvalContext;
 use stencil_bench::{exp::fig12, RunOpts};
+
 fn main() {
     let opts = RunOpts::from_env();
-    let cells = fig12::compute(&opts, 5.0);
+    let ctx = Arc::new(EvalContext::new());
+    let svc = opts.tune_service(&ctx);
+    let cells = fig12::compute(&ctx, svc.as_ref(), &opts, 5.0);
     let table = fig12::render(&cells);
     table.print("Fig 12: model-based (beta = 5%) vs exhaustive auto-tuning (SP)");
     table.maybe_csv(&opts.csv_dir, "fig12");
@@ -17,7 +23,7 @@ fn main() {
     println!("Paper: ~2% mean, ~6% worst (on GTX680).");
     println!("\nbeta sensitivity (mean / worst gap):");
     for beta in [0.2f64, 0.5, 1.0, 2.0] {
-        let c = fig12::compute(&opts, beta);
+        let c = fig12::compute(&ctx, svc.as_ref(), &opts, beta);
         let (m, w) = fig12::gap_stats(&c);
         println!("  beta {beta:4}%: {:.2}% / {:.2}%", m * 100.0, w * 100.0);
     }

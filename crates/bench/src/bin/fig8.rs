@@ -1,8 +1,10 @@
 //! Regenerates Fig 8: auto-tuning performance surfaces over (RX, RY).
+use inplane_core::EvalContext;
 use stencil_bench::{exp::fig8, RunOpts};
 fn main() {
     let opts = RunOpts::from_env();
-    for panel in fig8::compute(&opts) {
+    let ctx = EvalContext::new();
+    for panel in fig8::compute(&ctx, &opts) {
         fig8::render(&panel).print(&format!(
             "Fig 8: order-{} SP surface on GTX580 at (TX, TY) = ({}, {}) [MPoint/s]",
             panel.order, panel.tx, panel.ty

@@ -6,13 +6,14 @@
 //! ```
 
 use gpu_sim::{DeviceSpec, GridDims};
-use inplane_core::{KernelSpec, LaunchConfig, Method, Variant};
+use inplane_core::{EvalContext, KernelSpec, LaunchConfig, Method, Variant};
 use stencil_bench::{fmt, RunOpts};
 use stencil_grid::Precision;
 use stencil_multigpu::{simulate_scaling, Interconnect};
 
 fn main() {
     let opts = RunOpts::from_env();
+    let ctx = EvalContext::new();
     let dev = DeviceSpec::gtx580();
     let ic = Interconnect::pcie2();
     let config = LaunchConfig::new(128, 4, 1, 2);
@@ -27,7 +28,7 @@ fn main() {
         // Strong scaling: fixed global grid.
         let dims = opts.dims();
         let mut t = fmt::Table::new(&["GPUs", "step ms", "MPoint/s", "efficiency", "exchange %"]);
-        for p in simulate_scaling(&dev, &kernel, &config, dims, &ic, 8) {
+        for p in simulate_scaling(&ctx, &dev, &kernel, &config, dims, &ic, 8) {
             t.row(vec![
                 p.devices.to_string(),
                 fmt::f(p.step_time_s * 1e3, 3),
@@ -46,7 +47,9 @@ fn main() {
         let mut w = fmt::Table::new(&["GPUs", "LZ", "step ms", "MPoint/s"]);
         for devices in 1..=8usize {
             let dims_w = GridDims::new(dims.lx, dims.ly, dims.lz * devices);
-            if let Some(p) = simulate_scaling(&dev, &kernel, &config, dims_w, &ic, devices).last() {
+            if let Some(p) =
+                simulate_scaling(&ctx, &dev, &kernel, &config, dims_w, &ic, devices).last()
+            {
                 if p.devices == devices {
                     w.row(vec![
                         devices.to_string(),

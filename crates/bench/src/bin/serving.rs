@@ -18,6 +18,7 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use inplane_core::EvalContext;
 use stencil_tuneserve::{
     replay, zipf_trace, ReplayConfig, ReplayOutcome, ServerConfig, ServingReport, ShardedStore,
     TrafficMix, TuneServer,
@@ -99,15 +100,16 @@ fn parse_args() -> Args {
     args
 }
 
-fn fresh_server(args: &Args) -> TuneServer {
+fn fresh_server(args: &Args, ctx: &Arc<EvalContext>) -> TuneServer {
     let store = match &args.store_dir {
         Some(dir) => Arc::new(
             ShardedStore::open_dir(dir, args.shards).expect("cannot open sharded store dir"),
         ),
         None => Arc::new(ShardedStore::mem(args.shards)),
     };
-    TuneServer::with_global_ctx(
+    TuneServer::new(
         store,
+        Arc::clone(ctx),
         ServerConfig {
             pool_limit: args.pool,
             lru_capacity: args.lru,
@@ -146,6 +148,7 @@ fn print_outcome(label: &str, r: &ReplayOutcome) {
 
 fn main() -> ExitCode {
     let args = parse_args();
+    let ctx = Arc::new(EvalContext::new());
     let mix = if args.smoke {
         TrafficMix::smoke()
     } else {
@@ -171,7 +174,7 @@ fn main() -> ExitCode {
         args.lru,
     );
 
-    let server = fresh_server(&args);
+    let server = fresh_server(&args, &ctx);
     let cold = replay(&server, &universe, &trace, args.workers, args.budget_us);
     print_outcome("cold", &cold);
 
@@ -184,7 +187,7 @@ fn main() -> ExitCode {
         // Determinism: the same trace against a second fresh server
         // must serve the exact same tier/shed mix.
         let rerun = replay(
-            &fresh_server(&args),
+            &fresh_server(&args, &ctx),
             &universe,
             &trace,
             args.workers,

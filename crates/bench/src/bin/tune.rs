@@ -8,9 +8,11 @@
 //!     --beta 5 --lx 512 --ly 512 --lz 256
 //! ```
 
+use std::sync::Arc;
+
 use gpu_sim::{DeviceSpec, GridDims};
-use inplane_core::{KernelSpec, Method, Variant};
-use stencil_autotune::{exhaustive_tune, model_based_tune, ParameterSpace};
+use inplane_core::{EvalContext, KernelSpec, Method, Variant};
+use stencil_autotune::{exhaustive_tune_with, model_based_tune_with, ParameterSpace};
 use stencil_bench::exp::service_at;
 use stencil_bench::opts::{
     device_choices, parse_device, parse_routine, routine_choices, TUNE_STORE_ENV,
@@ -100,7 +102,8 @@ fn main() {
     for (code, n) in &audit.rejections {
         println!("  rejected {code} x{n}");
     }
-    if let Some(svc) = a.store.as_deref().and_then(service_at) {
+    let ctx = Arc::new(EvalContext::new());
+    if let Some(svc) = a.store.as_deref().and_then(|p| service_at(p, &ctx)) {
         let tuner = match a.beta {
             Some(beta_percent) => TunerSpec::ModelBased { beta_percent },
             None => TunerSpec::Exhaustive,
@@ -131,7 +134,7 @@ fn main() {
     }
     match a.beta {
         Some(beta) => {
-            let out = model_based_tune(&a.device, &kernel, a.dims, &space, beta, a.seed);
+            let out = model_based_tune_with(&ctx, &a.device, &kernel, a.dims, &space, beta, a.seed);
             println!(
                 "model-based (beta = {beta}%): executed {} configurations",
                 out.executed
@@ -142,7 +145,7 @@ fn main() {
             );
         }
         None => {
-            let out = exhaustive_tune(&a.device, &kernel, a.dims, &space, a.seed);
+            let out = exhaustive_tune_with(&ctx, &a.device, &kernel, a.dims, &space, a.seed);
             println!(
                 "optimal: {} -> {:.0} MPoint/s",
                 out.best.config, out.best.mpoints

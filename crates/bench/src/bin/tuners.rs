@@ -10,13 +10,14 @@
 //! result persists; a second run is served from disk and the closing
 //! report shows the store and evaluation-cache counters.
 
+use std::sync::Arc;
+
 use gpu_sim::DeviceSpec;
 use inplane_core::{execute_step, EvalContext, ExecStats, KernelSpec, Method, Variant};
 use stencil_autotune::{
     exhaustive_tune_with, model_based_tune_with, stochastic_tune_with, summarize_with,
     AnnealOptions, ParameterSpace, TuneOutcome,
 };
-use stencil_bench::exp::service_at;
 use stencil_bench::{fmt, RunOpts};
 use stencil_grid::{Boundary, FillPattern, Grid3, Precision, StarStencil};
 use stencil_tunestore::{TuneRequest, TuneService, TunerSpec};
@@ -43,7 +44,9 @@ fn replay_winner(kernel: &KernelSpec, config: &inplane_core::LaunchConfig) -> Ex
 /// Resolve one strategy, through the service when one is mounted.
 /// Returns the outcome plus the configurations the *producing* search
 /// executed (meaningful even when the result was served from the store).
+#[allow(clippy::too_many_arguments)]
 fn run_strategy(
+    ctx: &EvalContext,
     svc: Option<&TuneService>,
     dev: &DeviceSpec,
     kernel: &KernelSpec,
@@ -65,34 +68,31 @@ fn run_strategy(
             let executed = resp.evaluated as usize;
             (resp.into_outcome(), executed)
         }
-        None => {
-            let ctx = EvalContext::global();
-            match tuner {
-                TunerSpec::Exhaustive => {
-                    let out = exhaustive_tune_with(ctx, dev, kernel, dims, space, seed);
-                    let executed = out.evaluated();
-                    (out, executed)
-                }
-                TunerSpec::ModelBased { beta_percent } => {
-                    let out =
-                        model_based_tune_with(ctx, dev, kernel, dims, space, beta_percent, seed);
-                    let executed = out.executed;
-                    (out.into_outcome(), executed)
-                }
-                TunerSpec::Stochastic(opts) => {
-                    let out = stochastic_tune_with(ctx, dev, kernel, dims, space, &opts, seed);
-                    let executed = out.executed;
-                    (out.into_outcome(), executed)
-                }
+        None => match tuner {
+            TunerSpec::Exhaustive => {
+                let out = exhaustive_tune_with(ctx, dev, kernel, dims, space, seed);
+                let executed = out.evaluated();
+                (out, executed)
             }
-        }
+            TunerSpec::ModelBased { beta_percent } => {
+                let out = model_based_tune_with(ctx, dev, kernel, dims, space, beta_percent, seed);
+                let executed = out.executed;
+                (out.into_outcome(), executed)
+            }
+            TunerSpec::Stochastic(opts) => {
+                let out = stochastic_tune_with(ctx, dev, kernel, dims, space, &opts, seed);
+                let executed = out.executed;
+                (out.into_outcome(), executed)
+            }
+        },
     }
 }
 
 fn main() {
     let opts = RunOpts::from_env();
     let dims = opts.dims();
-    let svc = opts.tune_store.as_deref().and_then(service_at);
+    let ctx = Arc::new(EvalContext::new());
+    let svc = opts.tune_service(&ctx);
     let mut table = fmt::Table::new(&[
         "Device",
         "Order",
@@ -117,6 +117,7 @@ fn main() {
                 (space, Some(audit))
             };
             let (ex, ex_executed) = run_strategy(
+                &ctx,
                 svc.as_ref(),
                 &dev,
                 &kernel,
@@ -126,6 +127,7 @@ fn main() {
                 opts.seed,
             );
             let (mb, mb_executed) = run_strategy(
+                &ctx,
                 svc.as_ref(),
                 &dev,
                 &kernel,
@@ -142,6 +144,7 @@ fn main() {
                 ..AnnealOptions::default()
             };
             let (sa, sa_executed) = run_strategy(
+                &ctx,
                 svc.as_ref(),
                 &dev,
                 &kernel,
@@ -170,11 +173,10 @@ fn main() {
     }
     table.print("Tuning strategies: quality vs configurations executed");
     if let Some((dev, kernel, ex, audit)) = &last_report {
-        let mut report = match &svc {
-            Some(svc) => summarize_with(svc.ctx(), dev, kernel, dims, ex)
-                .with_store(svc.store().stats().counters()),
-            None => summarize_with(EvalContext::global(), dev, kernel, dims, ex),
-        };
+        let mut report = summarize_with(&ctx, dev, kernel, dims, ex);
+        if let Some(svc) = &svc {
+            report = report.with_store(svc.store().stats().counters());
+        }
         if let Some(audit) = audit {
             report = report.with_rejections(audit.rejections.clone());
         }

@@ -17,7 +17,7 @@ use crate::fmt::{f, Table};
 use crate::opts::RunOpts;
 use gpu_sim::timing::HidingModel;
 use gpu_sim::{DeviceSpec, SimOptions};
-use inplane_core::{simulate_kernel, KernelSpec, Method, Variant};
+use inplane_core::{EvalContext, KernelSpec, Method, Variant};
 use stencil_grid::Precision;
 
 /// One ablation configuration's results.
@@ -34,6 +34,7 @@ pub struct Row {
 }
 
 fn tune_mpoints(
+    ctx: &EvalContext,
     device: &DeviceSpec,
     kernel: &KernelSpec,
     opts: &RunOpts,
@@ -50,14 +51,22 @@ fn tune_mpoints(
                 hiding,
                 ..SimOptions::default()
             };
-            simulate_kernel(device, kernel, c, dims, &sim_opts).mpoints_per_s()
+            ctx.evaluate_with(device, kernel, c, dims, &sim_opts)
+                .mpoints_per_s()
         })
         .fold(0.0f64, f64::max)
 }
 
-fn run_case(name: &'static str, device: DeviceSpec, hiding: HidingModel, opts: &RunOpts) -> Row {
+fn run_case(
+    ctx: &EvalContext,
+    name: &'static str,
+    device: DeviceSpec,
+    hiding: HidingModel,
+    opts: &RunOpts,
+) -> Row {
     let speedup = |order: usize| {
         let nv = tune_mpoints(
+            ctx,
             &device,
             &KernelSpec::star_order(Method::ForwardPlane, order, Precision::Single),
             opts,
@@ -65,6 +74,7 @@ fn run_case(name: &'static str, device: DeviceSpec, hiding: HidingModel, opts: &
             false,
         );
         let fs = tune_mpoints(
+            ctx,
             &device,
             &KernelSpec::star_order(
                 Method::InPlane(Variant::FullSlice),
@@ -88,7 +98,7 @@ fn run_case(name: &'static str, device: DeviceSpec, hiding: HidingModel, opts: &
 }
 
 /// Run the ablation on the GTX580.
-pub fn compute(opts: &RunOpts) -> Vec<Row> {
+pub fn compute(ctx: &EvalContext, opts: &RunOpts) -> Vec<Row> {
     let base = DeviceSpec::gtx580();
     let element_granular = DeviceSpec {
         segment_bytes: 4,
@@ -103,16 +113,29 @@ pub fn compute(opts: &RunOpts) -> Vec<Row> {
         ..base.clone()
     };
     vec![
-        run_case("baseline", base.clone(), HidingModel::Linear, opts),
+        run_case(ctx, "baseline", base.clone(), HidingModel::Linear, opts),
         run_case(
+            ctx,
             "element-granular memory",
             element_granular,
             HidingModel::Linear,
             opts,
         ),
-        run_case("no L1 credit", no_l1, HidingModel::Linear, opts),
-        run_case("free re-references", ideal_cache, HidingModel::Linear, opts),
-        run_case("saturating hiding", base, HidingModel::Saturating, opts),
+        run_case(ctx, "no L1 credit", no_l1, HidingModel::Linear, opts),
+        run_case(
+            ctx,
+            "free re-references",
+            ideal_cache,
+            HidingModel::Linear,
+            opts,
+        ),
+        run_case(
+            ctx,
+            "saturating hiding",
+            base,
+            HidingModel::Saturating,
+            opts,
+        ),
     ]
 }
 
@@ -144,12 +167,15 @@ mod tests {
         // Without 128-byte segment granularity, the in-plane method's
         // advantage mostly evaporates — the whole paper rests on
         // transaction-level coalescing.
-        let rows = compute(&RunOpts {
-            quick: true,
-            seed: 1,
-            csv_dir: None,
-            tune_store: None,
-        });
+        let rows = compute(
+            &EvalContext::new(),
+            &RunOpts {
+                quick: true,
+                seed: 1,
+                csv_dir: None,
+                tune_store: None,
+            },
+        );
         let baseline = rows.iter().find(|r| r.name == "baseline").unwrap();
         let granular = rows
             .iter()
@@ -170,12 +196,15 @@ mod tests {
         // with no credit the nvstencil baseline gets slower (speedup
         // grows); with free re-references it gets faster (speedup
         // shrinks).
-        let rows = compute(&RunOpts {
-            quick: true,
-            seed: 1,
-            csv_dir: None,
-            tune_store: None,
-        });
+        let rows = compute(
+            &EvalContext::new(),
+            &RunOpts {
+                quick: true,
+                seed: 1,
+                csv_dir: None,
+                tune_store: None,
+            },
+        );
         let base = rows
             .iter()
             .find(|r| r.name == "baseline")
@@ -198,12 +227,15 @@ mod tests {
     #[test]
     fn hiding_shape_is_second_order() {
         // Swapping the hiding function must not change who wins.
-        let rows = compute(&RunOpts {
-            quick: true,
-            seed: 1,
-            csv_dir: None,
-            tune_store: None,
-        });
+        let rows = compute(
+            &EvalContext::new(),
+            &RunOpts {
+                quick: true,
+                seed: 1,
+                csv_dir: None,
+                tune_store: None,
+            },
+        );
         let sat = rows.iter().find(|r| r.name == "saturating hiding").unwrap();
         assert!(sat.order2_speedup > 1.0);
         assert!(sat.order8_speedup > 1.0);

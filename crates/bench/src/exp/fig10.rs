@@ -6,12 +6,13 @@
 //! 2. full-slice **without** register blocking,
 //! 3. full-slice **with** register blocking.
 
-use crate::exp::{tune_best, ORDERS};
+use crate::exp::{tune_best_with, ORDERS};
 use crate::fmt::{f, Table};
 use crate::opts::RunOpts;
 use gpu_sim::DeviceSpec;
-use inplane_core::{KernelSpec, Method, Variant};
+use inplane_core::{EvalContext, KernelSpec, Method, Variant};
 use stencil_grid::Precision;
+use stencil_tunestore::TuneService;
 
 /// One (device, order) breakdown.
 #[derive(Clone, Debug, PartialEq)]
@@ -29,7 +30,7 @@ pub struct Cell {
 }
 
 /// Compute the breakdown for all devices and orders (SP).
-pub fn compute(opts: &RunOpts) -> Vec<Cell> {
+pub fn compute(ctx: &EvalContext, svc: Option<&TuneService>, opts: &RunOpts) -> Vec<Cell> {
     let dims = opts.dims();
     let mut out = Vec::new();
     for dev in DeviceSpec::paper_devices() {
@@ -40,10 +41,14 @@ pub fn compute(opts: &RunOpts) -> Vec<Cell> {
                 order,
                 Precision::Single,
             );
-            let base = tune_best(&dev, &nv, dims, false, opts.quick, opts.seed).mpoints;
-            let nv_rb = tune_best(&dev, &nv, dims, true, opts.quick, opts.seed).mpoints;
-            let fs_norb = tune_best(&dev, &fs, dims, false, opts.quick, opts.seed).mpoints;
-            let fs_rb = tune_best(&dev, &fs, dims, true, opts.quick, opts.seed).mpoints;
+            let base =
+                tune_best_with(ctx, svc, &dev, &nv, dims, false, opts.quick, opts.seed).mpoints;
+            let nv_rb =
+                tune_best_with(ctx, svc, &dev, &nv, dims, true, opts.quick, opts.seed).mpoints;
+            let fs_norb =
+                tune_best_with(ctx, svc, &dev, &fs, dims, false, opts.quick, opts.seed).mpoints;
+            let fs_rb =
+                tune_best_with(ctx, svc, &dev, &fs, dims, true, opts.quick, opts.seed).mpoints;
             out.push(Cell {
                 device: dev.name.to_string(),
                 order,
@@ -96,12 +101,16 @@ mod tests {
     fn full_slice_with_rb_always_best() {
         // Fig 10: "In all cases, we found that the full-slice method with
         // register blocking performed the best across all GPUs."
-        for c in compute(&RunOpts {
-            quick: true,
-            seed: 1,
-            csv_dir: None,
-            tune_store: None,
-        }) {
+        for c in compute(
+            &EvalContext::new(),
+            None,
+            &RunOpts {
+                quick: true,
+                seed: 1,
+                csv_dir: None,
+                tune_store: None,
+            },
+        ) {
             assert!(
                 c.fs_rb >= c.nv_rb && c.fs_rb >= c.fs_norb,
                 "{} order {}: fs_rb {:.2} nv_rb {:.2} fs {:.2}",
@@ -118,12 +127,16 @@ mod tests {
     fn rb_contributes_on_top_of_full_slice() {
         // §IV-D: register blocking on the full-slice method adds a
         // meaningful share (~18% in the paper) beyond the pattern alone.
-        let cells = compute(&RunOpts {
-            quick: true,
-            seed: 1,
-            csv_dir: None,
-            tune_store: None,
-        });
+        let cells = compute(
+            &EvalContext::new(),
+            None,
+            &RunOpts {
+                quick: true,
+                seed: 1,
+                csv_dir: None,
+                tune_store: None,
+            },
+        );
         let (total, from_fs, from_rb) = summary(&cells);
         assert!(total > 0.2, "total gain {total:.2}");
         assert!(from_fs > 0.0, "pattern share {from_fs:.2}");
@@ -133,12 +146,16 @@ mod tests {
     #[test]
     fn rb_alone_helps_nvstencil_modestly() {
         // §IV-D: nvstencil with register blocking gains only ~11%.
-        let cells = compute(&RunOpts {
-            quick: true,
-            seed: 1,
-            csv_dir: None,
-            tune_store: None,
-        });
+        let cells = compute(
+            &EvalContext::new(),
+            None,
+            &RunOpts {
+                quick: true,
+                seed: 1,
+                csv_dir: None,
+                tune_store: None,
+            },
+        );
         let mean_nv_rb: f64 = cells.iter().map(|c| c.nv_rb - 1.0).sum::<f64>() / cells.len() as f64;
         assert!(
             (0.0..0.6).contains(&mean_nv_rb),

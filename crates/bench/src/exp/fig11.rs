@@ -5,7 +5,8 @@
 use crate::fmt::{f, Table};
 use crate::opts::RunOpts;
 use gpu_sim::DeviceSpec;
-use stencil_apps::{all_apps, benchmark_app, AppBenchResult};
+use inplane_core::EvalContext;
+use stencil_apps::{all_apps, benchmark_app_with, AppBenchResult};
 use stencil_grid::Precision;
 
 /// Results for one device and precision: six application rows.
@@ -20,7 +21,7 @@ pub struct DeviceResults {
 }
 
 /// Run the suite on all devices for both precisions.
-pub fn compute(opts: &RunOpts) -> Vec<DeviceResults> {
+pub fn compute(ctx: &EvalContext, opts: &RunOpts) -> Vec<DeviceResults> {
     let dims = opts.dims();
     let mut out = Vec::new();
     for dev in DeviceSpec::paper_devices() {
@@ -28,11 +29,29 @@ pub fn compute(opts: &RunOpts) -> Vec<DeviceResults> {
             let apps = match precision {
                 Precision::Single => all_apps::<f32>()
                     .iter()
-                    .map(|a| benchmark_app::<f32>(&dev, a.as_ref(), dims, opts.quick, opts.seed))
+                    .map(|a| {
+                        benchmark_app_with::<f32>(
+                            ctx,
+                            &dev,
+                            a.as_ref(),
+                            dims,
+                            opts.quick,
+                            opts.seed,
+                        )
+                    })
                     .collect(),
                 Precision::Double => all_apps::<f64>()
                     .iter()
-                    .map(|a| benchmark_app::<f64>(&dev, a.as_ref(), dims, opts.quick, opts.seed))
+                    .map(|a| {
+                        benchmark_app_with::<f64>(
+                            ctx,
+                            &dev,
+                            a.as_ref(),
+                            dims,
+                            opts.quick,
+                            opts.seed,
+                        )
+                    })
                     .collect(),
             };
             out.push(DeviceResults {
@@ -82,12 +101,13 @@ mod tests {
         // One device is enough for the shape checks and keeps tests fast.
         let dims = opts.dims();
         let dev = DeviceSpec::gtx580();
+        let ctx = EvalContext::new();
         vec![DeviceResults {
             device: dev.name.to_string(),
             precision: Precision::Single,
             apps: all_apps::<f32>()
                 .iter()
-                .map(|a| benchmark_app::<f32>(&dev, a.as_ref(), dims, true, opts.seed))
+                .map(|a| benchmark_app_with::<f32>(&ctx, &dev, a.as_ref(), dims, true, opts.seed))
                 .collect(),
         }]
     }

@@ -2,14 +2,14 @@
 //! for all stencil orders on all three GPUs. The paper reports a typical
 //! gap of ~2% and a worst case of ~6% (on the GTX680).
 
-use crate::exp::{global_service, space_for, ORDERS};
+use crate::exp::{space_for, ORDERS};
 use crate::fmt::{f, Table};
 use crate::opts::RunOpts;
 use gpu_sim::DeviceSpec;
-use inplane_core::{KernelSpec, Method, Variant};
-use stencil_autotune::{exhaustive_tune, model_based_tune};
+use inplane_core::{EvalContext, KernelSpec, Method, Variant};
+use stencil_autotune::{exhaustive_tune_with, model_based_tune_with};
 use stencil_grid::Precision;
-use stencil_tunestore::{TuneRequest, TunerSpec};
+use stencil_tunestore::{TuneRequest, TuneService, TunerSpec};
 
 /// One (device, order) comparison.
 #[derive(Clone, Debug, PartialEq)]
@@ -35,8 +35,15 @@ impl Cell {
     }
 }
 
-/// Run the comparison with the given β (the paper uses 5%).
-pub fn compute(opts: &RunOpts, beta_percent: f64) -> Vec<Cell> {
+/// Run the comparison with the given β (the paper uses 5%), measuring
+/// through `ctx` — or through `svc`, the `--store` service over that
+/// same context, when one is open.
+pub fn compute(
+    ctx: &EvalContext,
+    svc: Option<&TuneService>,
+    opts: &RunOpts,
+    beta_percent: f64,
+) -> Vec<Cell> {
     let dims = opts.dims();
     let mut out = Vec::new();
     for dev in DeviceSpec::paper_devices() {
@@ -47,7 +54,7 @@ pub fn compute(opts: &RunOpts, beta_percent: f64) -> Vec<Cell> {
                 Precision::Single,
             );
             let space = space_for(&dev, &k, &dims, true, opts.quick);
-            let (ex_mpoints, mb_mpoints, executed) = if let Some(svc) = global_service() {
+            let (ex_mpoints, mb_mpoints, executed) = if let Some(svc) = svc {
                 let ex = svc.resolve(&TuneRequest {
                     device: dev.clone(),
                     kernel: k.clone(),
@@ -66,8 +73,9 @@ pub fn compute(opts: &RunOpts, beta_percent: f64) -> Vec<Cell> {
                 });
                 (ex.best.mpoints, mb.best.mpoints, mb.evaluated as usize)
             } else {
-                let ex = exhaustive_tune(&dev, &k, dims, &space, opts.seed);
-                let mb = model_based_tune(&dev, &k, dims, &space, beta_percent, opts.seed);
+                let ex = exhaustive_tune_with(ctx, &dev, &k, dims, &space, opts.seed);
+                let mb =
+                    model_based_tune_with(ctx, &dev, &k, dims, &space, beta_percent, opts.seed);
                 (ex.best.mpoints, mb.best.mpoints, mb.executed)
             };
             out.push(Cell {
@@ -123,6 +131,8 @@ mod tests {
         // Paper: typically ~2% gap, worst ~6%. Allow some slack on the
         // reduced quick space (β of a smaller M executes fewer configs).
         let cells = compute(
+            &EvalContext::new(),
+            None,
             &RunOpts {
                 quick: true,
                 seed: 1,
@@ -157,8 +167,9 @@ mod tests {
             csv_dir: None,
             tune_store: None,
         };
-        let c5 = compute(&opts, 5.0);
-        let c20 = compute(&opts, 20.0);
+        let ctx = EvalContext::new();
+        let c5 = compute(&ctx, None, &opts, 5.0);
+        let c20 = compute(&ctx, None, &opts, 20.0);
         for (a, b) in c5.iter().zip(c20.iter()) {
             assert!(b.model_based_mpoints >= a.model_based_mpoints - 1e-9);
         }

@@ -3,12 +3,13 @@
 //! (each variant — and the baseline — tuned for its optimal `TX × TY`,
 //! `RX = RY = 1`), single precision, orders 2–12, all three GPUs.
 
-use crate::exp::{tune_best, ORDERS};
+use crate::exp::{tune_best_with, ORDERS};
 use crate::fmt::{f, Table};
 use crate::opts::RunOpts;
 use gpu_sim::DeviceSpec;
-use inplane_core::{KernelSpec, Method, Variant};
+use inplane_core::{EvalContext, KernelSpec, Method, Variant};
 use stencil_grid::Precision;
+use stencil_tunestore::TuneService;
 
 /// The variants Fig 7 evaluates, in column order (the paper leaves the
 /// classical variant out).
@@ -28,12 +29,14 @@ pub struct Cell {
 }
 
 /// Run the whole figure.
-pub fn compute(opts: &RunOpts) -> Vec<Cell> {
+pub fn compute(ctx: &EvalContext, svc: Option<&TuneService>, opts: &RunOpts) -> Vec<Cell> {
     let dims = opts.dims();
     let mut out = Vec::new();
     for dev in DeviceSpec::paper_devices() {
         for order in ORDERS {
-            let nv = tune_best(
+            let nv = tune_best_with(
+                ctx,
+                svc,
                 &dev,
                 &KernelSpec::star_order(Method::ForwardPlane, order, Precision::Single),
                 dims,
@@ -43,7 +46,9 @@ pub fn compute(opts: &RunOpts) -> Vec<Cell> {
             );
             let mut speedups = [0.0f64; 3];
             for (i, variant) in VARIANTS.into_iter().enumerate() {
-                let s = tune_best(
+                let s = tune_best_with(
+                    ctx,
+                    svc,
                     &dev,
                     &KernelSpec::star_order(Method::InPlane(variant), order, Precision::Single),
                     dims,
@@ -92,12 +97,16 @@ mod tests {
     use super::*;
 
     fn quick_cells() -> Vec<Cell> {
-        compute(&RunOpts {
-            quick: true,
-            seed: 1,
-            csv_dir: None,
-            tune_store: None,
-        })
+        compute(
+            &EvalContext::new(),
+            None,
+            &RunOpts {
+                quick: true,
+                seed: 1,
+                csv_dir: None,
+                tune_store: None,
+            },
+        )
     }
 
     #[test]

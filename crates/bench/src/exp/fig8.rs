@@ -6,8 +6,8 @@
 use crate::fmt::{f, Table};
 use crate::opts::RunOpts;
 use gpu_sim::DeviceSpec;
-use inplane_core::{KernelSpec, Method, Variant};
-use stencil_autotune::{performance_surface, SurfacePoint};
+use inplane_core::{EvalContext, KernelSpec, Method, Variant};
+use stencil_autotune::{performance_surface_with, SurfacePoint};
 use stencil_grid::Precision;
 
 /// One Fig 8 panel.
@@ -36,7 +36,7 @@ impl Panel {
 
 /// Compute the two panels of Fig 8 (order 2 at TX×TY = 256×1, order 8 at
 /// 32×4, the paper's optima) on the GTX580.
-pub fn compute(opts: &RunOpts) -> Vec<Panel> {
+pub fn compute(ctx: &EvalContext, opts: &RunOpts) -> Vec<Panel> {
     let dev = DeviceSpec::gtx580();
     let dims = opts.dims();
     [(2usize, 256usize, 1usize), (8, 32, 4)]
@@ -51,7 +51,7 @@ pub fn compute(opts: &RunOpts) -> Vec<Panel> {
                 order,
                 tx,
                 ty,
-                points: performance_surface(&dev, &k, dims, tx, ty, opts.seed),
+                points: performance_surface_with(ctx, &dev, &k, dims, tx, ty, opts.seed),
             }
         })
         .collect()
@@ -83,12 +83,15 @@ mod tests {
     fn order2_panel_peaks_at_high_ry() {
         // Fig 8a: the 2nd-order surface at (256, 1) rises along RY; the
         // paper's optimum is RY = 8.
-        let panels = compute(&RunOpts {
-            quick: false,
-            seed: 1,
-            csv_dir: None,
-            tune_store: None,
-        });
+        let panels = compute(
+            &EvalContext::new(),
+            &RunOpts {
+                quick: false,
+                seed: 1,
+                csv_dir: None,
+                tune_store: None,
+            },
+        );
         let p2 = &panels[0];
         assert_eq!(p2.order, 2);
         let peak = p2.peak();
@@ -102,12 +105,15 @@ mod tests {
     fn order8_panel_has_infeasible_zeros() {
         // Fig 8b: at (32, 4) with order 8, large register blocks violate
         // constraints and are plotted as zero.
-        let panels = compute(&RunOpts {
-            quick: false,
-            seed: 1,
-            csv_dir: None,
-            tune_store: None,
-        });
+        let panels = compute(
+            &EvalContext::new(),
+            &RunOpts {
+                quick: false,
+                seed: 1,
+                csv_dir: None,
+                tune_store: None,
+            },
+        );
         let p8 = &panels[1];
         assert!(p8.points.iter().any(|p| p.mpoints == 0.0));
         let peak = p8.peak();
@@ -116,12 +122,15 @@ mod tests {
 
     #[test]
     fn render_is_4x4() {
-        let panels = compute(&RunOpts {
-            quick: true,
-            seed: 1,
-            csv_dir: None,
-            tune_store: None,
-        });
+        let panels = compute(
+            &EvalContext::new(),
+            &RunOpts {
+                quick: true,
+                seed: 1,
+                csv_dir: None,
+                tune_store: None,
+            },
+        );
         assert_eq!(render(&panels[0]).len(), 4);
     }
 }

@@ -2,12 +2,13 @@
 //! of bus bytes — for the full-slice method versus *nvstencil*, all
 //! stencil orders, all three GPUs, each at its tuned configuration.
 
-use crate::exp::{tune_best, ORDERS};
+use crate::exp::{tune_best_with, ORDERS};
 use crate::fmt::{f, Table};
 use crate::opts::RunOpts;
 use gpu_sim::DeviceSpec;
-use inplane_core::{simulate_star_kernel, KernelSpec, Method, Variant};
+use inplane_core::{EvalContext, KernelSpec, Method, Variant};
 use stencil_grid::Precision;
+use stencil_tunestore::TuneService;
 
 /// One (device, order) comparison.
 #[derive(Clone, Debug, PartialEq)]
@@ -24,7 +25,7 @@ pub struct Cell {
 
 /// Compute the figure: efficiency at each method's tuned configuration
 /// (thread blocking only, as in the Fig 7 setting it accompanies).
-pub fn compute(opts: &RunOpts) -> Vec<Cell> {
+pub fn compute(ctx: &EvalContext, svc: Option<&TuneService>, opts: &RunOpts) -> Vec<Cell> {
     let dims = opts.dims();
     let mut out = Vec::new();
     for dev in DeviceSpec::paper_devices() {
@@ -35,10 +36,16 @@ pub fn compute(opts: &RunOpts) -> Vec<Cell> {
                 order,
                 Precision::Single,
             );
-            let nv_cfg = tune_best(&dev, &nv_spec, dims, false, opts.quick, opts.seed).config;
-            let fs_cfg = tune_best(&dev, &fs_spec, dims, false, opts.quick, opts.seed).config;
-            let nv = simulate_star_kernel(&dev, &nv_spec, &nv_cfg, dims).load_efficiency();
-            let fs = simulate_star_kernel(&dev, &fs_spec, &fs_cfg, dims).load_efficiency();
+            let nv_cfg =
+                tune_best_with(ctx, svc, &dev, &nv_spec, dims, false, opts.quick, opts.seed).config;
+            let fs_cfg =
+                tune_best_with(ctx, svc, &dev, &fs_spec, dims, false, opts.quick, opts.seed).config;
+            let nv = ctx
+                .evaluate(&dev, &nv_spec, &nv_cfg, dims)
+                .load_efficiency();
+            let fs = ctx
+                .evaluate(&dev, &fs_spec, &fs_cfg, dims)
+                .load_efficiency();
             out.push(Cell {
                 device: dev.name.to_string(),
                 order,
@@ -72,12 +79,16 @@ mod tests {
     fn full_slice_efficiency_beats_nvstencil_everywhere() {
         // The paper: "the load efficiency of the full-[slice] method is
         // higher than nvstencil for all stencil orders".
-        for c in compute(&RunOpts {
-            quick: true,
-            seed: 1,
-            csv_dir: None,
-            tune_store: None,
-        }) {
+        for c in compute(
+            &EvalContext::new(),
+            None,
+            &RunOpts {
+                quick: true,
+                seed: 1,
+                csv_dir: None,
+                tune_store: None,
+            },
+        ) {
             assert!(
                 c.full_slice > c.nvstencil,
                 "{} order {}: full-slice {:.2} vs nvstencil {:.2}",
@@ -91,12 +102,16 @@ mod tests {
 
     #[test]
     fn efficiencies_are_fractions() {
-        for c in compute(&RunOpts {
-            quick: true,
-            seed: 1,
-            csv_dir: None,
-            tune_store: None,
-        }) {
+        for c in compute(
+            &EvalContext::new(),
+            None,
+            &RunOpts {
+                quick: true,
+                seed: 1,
+                csv_dir: None,
+                tune_store: None,
+            },
+        ) {
             assert!((0.0..=1.0).contains(&c.nvstencil));
             assert!((0.0..=1.0).contains(&c.full_slice));
         }

@@ -6,12 +6,13 @@
 //! useful (forward-formulation, `7r+1`) flop count, as the literature
 //! does.
 
-use crate::exp::tune_best;
+use crate::exp::tune_best_with;
 use crate::fmt::{f, Table};
 use crate::opts::RunOpts;
 use gpu_sim::DeviceSpec;
-use inplane_core::{KernelSpec, Method, Variant};
+use inplane_core::{EvalContext, KernelSpec, Method, Variant};
 use stencil_grid::Precision;
+use stencil_tunestore::TuneService;
 
 /// One literature comparison row.
 #[derive(Clone, Debug, PartialEq)]
@@ -29,9 +30,15 @@ pub struct Row {
 }
 
 /// Tuned order-2 throughput in MPoint/s on `dev` for the given precision.
-fn tuned_order2(dev: &DeviceSpec, precision: Precision, opts: &RunOpts) -> f64 {
+fn tuned_order2(
+    ctx: &EvalContext,
+    svc: Option<&TuneService>,
+    dev: &DeviceSpec,
+    precision: Precision,
+    opts: &RunOpts,
+) -> f64 {
     let k = KernelSpec::star_order(Method::InPlane(Variant::FullSlice), 2, precision);
-    tune_best(dev, &k, opts.dims(), true, opts.quick, opts.seed).mpoints
+    tune_best_with(ctx, svc, dev, &k, opts.dims(), true, opts.quick, opts.seed).mpoints
 }
 
 /// Useful GFlop/s of a 2nd-order (7-point-class, 8-flop) stencil at the
@@ -41,10 +48,10 @@ fn gflops_order2(mpoints: f64) -> f64 {
 }
 
 /// Build every §V-B row.
-pub fn compute(opts: &RunOpts) -> Vec<Row> {
-    let c2070_sp = tuned_order2(&DeviceSpec::c2070(), Precision::Single, opts);
-    let gtx580_dp = tuned_order2(&DeviceSpec::gtx580(), Precision::Double, opts);
-    let gtx580_sp = tuned_order2(&DeviceSpec::gtx580(), Precision::Single, opts);
+pub fn compute(ctx: &EvalContext, svc: Option<&TuneService>, opts: &RunOpts) -> Vec<Row> {
+    let c2070_sp = tuned_order2(ctx, svc, &DeviceSpec::c2070(), Precision::Single, opts);
+    let gtx580_dp = tuned_order2(ctx, svc, &DeviceSpec::gtx580(), Precision::Double, opts);
+    let gtx580_sp = tuned_order2(ctx, svc, &DeviceSpec::gtx580(), Precision::Single, opts);
     vec![
         Row {
             label: "SP Laplacian-class GFlop/s vs Patus (Tesla C2050: 30)".into(),
@@ -98,12 +105,16 @@ mod tests {
 
     #[test]
     fn our_numbers_land_in_the_papers_neighbourhood() {
-        let rows = compute(&RunOpts {
-            quick: true,
-            seed: 1,
-            csv_dir: None,
-            tune_store: None,
-        });
+        let rows = compute(
+            &EvalContext::new(),
+            None,
+            &RunOpts {
+                quick: true,
+                seed: 1,
+                csv_dir: None,
+                tune_store: None,
+            },
+        );
         assert_eq!(rows.len(), 4);
         for r in &rows {
             let ratio = r.ours / r.paper_claim;
@@ -119,12 +130,16 @@ mod tests {
 
     #[test]
     fn we_beat_the_prior_work_like_the_paper_does() {
-        for r in compute(&RunOpts {
-            quick: true,
-            seed: 1,
-            csv_dir: None,
-            tune_store: None,
-        }) {
+        for r in compute(
+            &EvalContext::new(),
+            None,
+            &RunOpts {
+                quick: true,
+                seed: 1,
+                csv_dir: None,
+                tune_store: None,
+            },
+        ) {
             assert!(
                 r.ours > r.prior_work,
                 "{}: ours {:.1} should exceed prior {:.1}",

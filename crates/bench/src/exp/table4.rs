@@ -3,12 +3,13 @@
 //! over tuned *nvstencil* — for SP and DP, orders 2–12, on all three
 //! GPUs. The paper's reported numbers are embedded for comparison.
 
-use crate::exp::{tune_best, ORDERS};
+use crate::exp::{tune_best_with, ORDERS};
 use crate::fmt::{f, Table};
 use crate::opts::RunOpts;
 use gpu_sim::DeviceSpec;
-use inplane_core::{KernelSpec, LaunchConfig, Method, Variant};
+use inplane_core::{EvalContext, KernelSpec, LaunchConfig, Method, Variant};
 use stencil_grid::Precision;
+use stencil_tunestore::TuneService;
 
 /// Paper-reported cell: (config, MPoint/s, speedup).
 pub type PaperCell = ((usize, usize, usize, usize), f64, f64);
@@ -101,7 +102,7 @@ pub struct Cell {
 }
 
 /// Run the full experiment (both precisions, all devices and orders).
-pub fn compute(opts: &RunOpts) -> Vec<Cell> {
+pub fn compute(ctx: &EvalContext, svc: Option<&TuneService>, opts: &RunOpts) -> Vec<Cell> {
     let dims = opts.dims();
     let mut out = Vec::new();
     for (precision, paper_block) in [
@@ -110,7 +111,9 @@ pub fn compute(opts: &RunOpts) -> Vec<Cell> {
     ] {
         for (oi, order) in ORDERS.into_iter().enumerate() {
             for (di, dev) in DeviceSpec::paper_devices().into_iter().enumerate() {
-                let nv = tune_best(
+                let nv = tune_best_with(
+                    ctx,
+                    svc,
                     &dev,
                     &KernelSpec::star_order(Method::ForwardPlane, order, precision),
                     dims,
@@ -118,7 +121,9 @@ pub fn compute(opts: &RunOpts) -> Vec<Cell> {
                     opts.quick,
                     opts.seed,
                 );
-                let fs = tune_best(
+                let fs = tune_best_with(
+                    ctx,
+                    svc,
                     &dev,
                     &KernelSpec::star_order(Method::InPlane(Variant::FullSlice), order, precision),
                     dims,
@@ -177,12 +182,16 @@ mod tests {
         // Quick-mode check of the central claims on GTX580 SP:
         // speedup > 1 everywhere, highest at low orders, throughput
         // within ~2x of the paper's absolute numbers.
-        let cells = compute(&RunOpts {
-            quick: true,
-            seed: 1,
-            csv_dir: None,
-            tune_store: None,
-        });
+        let cells = compute(
+            &EvalContext::new(),
+            None,
+            &RunOpts {
+                quick: true,
+                seed: 1,
+                csv_dir: None,
+                tune_store: None,
+            },
+        );
         let sp580: Vec<&Cell> = cells
             .iter()
             .filter(|c| c.precision == Precision::Single && c.device.contains("580"))
@@ -214,12 +223,16 @@ mod tests {
 
     #[test]
     fn dp_speedups_lower_than_sp() {
-        let cells = compute(&RunOpts {
-            quick: true,
-            seed: 1,
-            csv_dir: None,
-            tune_store: None,
-        });
+        let cells = compute(
+            &EvalContext::new(),
+            None,
+            &RunOpts {
+                quick: true,
+                seed: 1,
+                csv_dir: None,
+                tune_store: None,
+            },
+        );
         let avg = |p: Precision| {
             let v: Vec<f64> = cells
                 .iter()

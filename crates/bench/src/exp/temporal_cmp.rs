@@ -9,13 +9,14 @@
 //! advantage inverts for high orders. This experiment locates that
 //! crossover on the simulated GTX580.
 
-use crate::exp::tune_best;
+use crate::exp::tune_best_with;
 use crate::fmt::{f, Table};
 use crate::opts::RunOpts;
 use gpu_sim::{DeviceSpec, SimOptions};
-use inplane_core::{KernelSpec, LaunchConfig, Method, Variant};
+use inplane_core::{EvalContext, KernelSpec, LaunchConfig, Method, Variant};
 use stencil_grid::Precision;
 use stencil_temporal::{simulate_temporal, TemporalConfig};
+use stencil_tunestore::TuneService;
 
 /// One (order, T) cell.
 #[derive(Clone, Debug, PartialEq)]
@@ -43,7 +44,7 @@ fn spatial_candidates() -> Vec<LaunchConfig> {
 }
 
 /// Compute the comparison for orders 2–8 and T in 1..=8 on the GTX580.
-pub fn compute(opts: &RunOpts) -> Vec<Cell> {
+pub fn compute(ctx: &EvalContext, svc: Option<&TuneService>, opts: &RunOpts) -> Vec<Cell> {
     let dev = DeviceSpec::gtx580();
     let dims = opts.dims();
     let mut out = Vec::new();
@@ -54,7 +55,7 @@ pub fn compute(opts: &RunOpts) -> Vec<Cell> {
             Precision::Single,
         );
         // Reference: the tuned single-step in-plane kernel.
-        let inplane = tune_best(&dev, &kernel, dims, true, opts.quick, opts.seed);
+        let inplane = tune_best_with(ctx, svc, &dev, &kernel, dims, true, opts.quick, opts.seed);
         out.push(Cell {
             order,
             t_steps: 0,
@@ -65,7 +66,7 @@ pub fn compute(opts: &RunOpts) -> Vec<Cell> {
                 .into_iter()
                 .map(|c| {
                     let cfg = TemporalConfig::new(c, t);
-                    simulate_temporal(&dev, &kernel, &cfg, dims, &SimOptions::default()).1
+                    simulate_temporal(ctx, &dev, &kernel, &cfg, dims, &SimOptions::default()).1
                 })
                 .fold(0.0f64, f64::max);
             out.push(Cell {
@@ -98,12 +99,16 @@ mod tests {
 
     #[test]
     fn temporal_blocking_wins_at_low_order_loses_at_high() {
-        let cells = compute(&RunOpts {
-            quick: true,
-            seed: 1,
-            csv_dir: None,
-            tune_store: None,
-        });
+        let cells = compute(
+            &EvalContext::new(),
+            None,
+            &RunOpts {
+                quick: true,
+                seed: 1,
+                csv_dir: None,
+                tune_store: None,
+            },
+        );
         let get = |order: usize, t: usize| {
             cells
                 .iter()
@@ -142,12 +147,16 @@ mod tests {
 
     #[test]
     fn deep_t_at_high_order_is_infeasible() {
-        let cells = compute(&RunOpts {
-            quick: true,
-            seed: 1,
-            csv_dir: None,
-            tune_store: None,
-        });
+        let cells = compute(
+            &EvalContext::new(),
+            None,
+            &RunOpts {
+                quick: true,
+                seed: 1,
+                csv_dir: None,
+                tune_store: None,
+            },
+        );
         let t8_o8 = cells
             .iter()
             .find(|c| c.order == 8 && c.t_steps == 8)

@@ -1,7 +1,12 @@
 //! Command-line options shared by all experiment binaries.
 
+use std::sync::Arc;
+
 use gpu_sim::{DeviceSpec, GridDims};
-use inplane_core::{registry, Method, Routine};
+use inplane_core::{registry, EvalContext, Method, Routine};
+use stencil_tunestore::TuneService;
+
+use crate::exp::service_at;
 
 /// Environment variable naming the persistent tune-store path every
 /// tuning binary honors (`--store <path>` overrides it).
@@ -65,6 +70,14 @@ impl RunOpts {
             opts.tune_store = std::env::var(TUNE_STORE_ENV).ok().filter(|p| !p.is_empty());
         }
         opts
+    }
+
+    /// The persistent tuning service over `ctx` at [`Self::tune_store`],
+    /// when one is named: the one service an experiment binary routes
+    /// its tuning through, whether the path came from `--store` or the
+    /// environment.
+    pub fn tune_service(&self, ctx: &Arc<EvalContext>) -> Option<TuneService> {
+        self.tune_store.as_deref().and_then(|p| service_at(p, ctx))
     }
 
     /// The evaluation grid: the paper's 512×512×256, or a quarter-size

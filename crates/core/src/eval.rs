@@ -29,7 +29,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 
 use gpu_sim::plan::{BlockPlan, GridDims};
 use gpu_sim::{apply_noise, simulate_clean, DeviceSpec, NoiseKey, SimOptions, SimReport};
@@ -194,12 +194,12 @@ struct Shard {
 
 /// Sharded memoizing front end over the plan → price → noise pipeline.
 ///
-/// See the [module docs](self) for the layering. Construct one per
-/// scope you want isolated (benchmarks construct fresh ones to measure
-/// cold-cache behaviour), or use [`EvalContext::global`] — the
-/// process-wide context every default-entry-point evaluation routes
-/// through, which is what lets independent tuners reuse each other's
-/// work within one process.
+/// See the [module docs](self) for the layering. There is no
+/// process-wide instance: every evaluation goes through a context its
+/// caller owns and passes down. Construct one per scope you want
+/// shared — a binary holds one for its whole run, so independent
+/// tuners reuse each other's work — and fresh ones where a cold cache
+/// or isolated counters matter (tests, benchmarks).
 pub struct EvalContext {
     shards: Vec<RwLock<Shard>>,
     hits: AtomicU64,
@@ -224,12 +224,6 @@ impl EvalContext {
             misses: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
         }
-    }
-
-    /// The process-wide shared context.
-    pub fn global() -> &'static EvalContext {
-        static GLOBAL: OnceLock<EvalContext> = OnceLock::new();
-        GLOBAL.get_or_init(EvalContext::new)
     }
 
     fn shard_of(&self, key: &PlanKey) -> &RwLock<Shard> {
@@ -428,7 +422,6 @@ impl EvalContext {
 mod tests {
     use super::*;
     use crate::method::{Method, Variant};
-    use crate::simulate::simulate_kernel;
     use stencil_grid::Precision;
 
     fn spec(order: usize) -> KernelSpec {
@@ -475,11 +468,10 @@ mod tests {
     fn cached_evaluation_is_bit_identical_to_uncached() {
         let ctx = EvalContext::new();
         let dev = gpu_sim::DeviceSpec::gtx580();
-        let direct = simulate_kernel(
+        let direct = simulate_clean(
             &dev,
-            &spec(4),
-            &cfg(),
-            GridDims::paper(),
+            &build_block_plan(&dev, &spec(4), &cfg(), GridDims::paper()),
+            &GridDims::paper(),
             &SimOptions::default(),
         );
         let cold = ctx.evaluate(&dev, &spec(4), &cfg(), GridDims::paper());

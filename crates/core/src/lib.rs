@@ -41,7 +41,6 @@ pub mod plan;
 pub mod regions;
 pub mod resources;
 pub mod routine;
-pub mod run;
 pub mod simulate;
 
 pub use config::LaunchConfig;
@@ -56,5 +55,4 @@ pub use routine::{
     lower_blueprint, registry, routine_by_id, routine_by_label, Blueprint, ComputeShape,
     LoadPattern, ProblemSpec, Routine, RoutineDiag, ScheduleSkeleton, ZFeed,
 };
-pub use run::{RunOutcome, StencilRun};
-pub use simulate::{build_block_plan, measure_kernel, simulate_kernel, simulate_star_kernel};
+pub use simulate::build_block_plan;

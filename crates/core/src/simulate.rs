@@ -1,19 +1,13 @@
-//! Glue: lower a kernel + configuration to a [`gpu_sim::BlockPlan`] and
-//! price it on a device — the "run it and time it" entry point the
-//! auto-tuner and all benchmarks use.
-//!
-//! The free functions here are thin convenience fronts over the
-//! process-wide [`EvalContext`]: lowering and clean pricing are
-//! memoized, noise is applied after the cache. Callers that want an
-//! isolated cache (or its counters) hold their own context and call
-//! its methods directly.
+//! Glue: lower a kernel + configuration to a [`gpu_sim::BlockPlan`] —
+//! the pure first layer of the plan → price → noise pipeline. Pricing
+//! and measurement go through a caller-owned
+//! [`EvalContext`](crate::EvalContext), which memoizes this lowering.
 
 use crate::config::LaunchConfig;
-use crate::eval::{EvalContext, PlanKey};
 use crate::kernel::KernelSpec;
 use crate::loadplan::plan_for_device_on;
 use gpu_sim::plan::{BlockPlan, GridDims, LaunchGeometry};
-use gpu_sim::{apply_noise, DeviceSpec, SimOptions, SimReport};
+use gpu_sim::DeviceSpec;
 
 /// Lower `(kernel, config)` for `device` over `dims`.
 pub fn build_block_plan(
@@ -35,58 +29,10 @@ pub fn build_block_plan(
     }
 }
 
-/// Simulate one full grid sweep with explicit options, through the
-/// global [`EvalContext`]: the clean price is memoized per
-/// `(plan key, pricing fingerprint)`; if `opts` enables noise it is
-/// applied afterwards, keyed by the plan key's hash (the `noise_key`
-/// string in `opts` is ignored — noise de-correlates by plan identity).
-pub fn simulate_kernel(
-    device: &DeviceSpec,
-    kernel: &KernelSpec,
-    config: &LaunchConfig,
-    dims: GridDims,
-    opts: &SimOptions,
-) -> SimReport {
-    let key = PlanKey::new(device, kernel, config, dims);
-    let mut report = EvalContext::global().price_with(device, &key, dims, opts, || {
-        build_block_plan(device, kernel, config, dims)
-    });
-    apply_noise(
-        &mut report,
-        key.noise_key(),
-        opts.noise_seed,
-        opts.noise_amplitude,
-    );
-    report
-}
-
-/// Simulate with default options (no noise) — the quickstart entry point.
-pub fn simulate_star_kernel(
-    device: &DeviceSpec,
-    kernel: &KernelSpec,
-    config: &LaunchConfig,
-    dims: GridDims,
-) -> SimReport {
-    simulate_kernel(device, kernel, config, dims, &SimOptions::default())
-}
-
-/// "Measure" a configuration the way the auto-tuner does: the cached
-/// clean price perturbed by ±2% deterministic jitter — the order real
-/// CUDA wall-clock timing shows. Routes through the global
-/// [`EvalContext`].
-pub fn measure_kernel(
-    device: &DeviceSpec,
-    kernel: &KernelSpec,
-    config: &LaunchConfig,
-    dims: GridDims,
-    seed: u64,
-) -> SimReport {
-    EvalContext::global().measure(device, kernel, config, dims, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::EvalContext;
     use crate::method::{Method, Variant};
     use stencil_grid::Precision;
 
@@ -101,7 +47,8 @@ mod tests {
     #[test]
     fn paper_grid_runs_and_is_memory_bound_at_order_2() {
         let dev = DeviceSpec::gtx580();
-        let rep = simulate_star_kernel(
+        let ctx = EvalContext::new();
+        let rep = ctx.evaluate(
             &dev,
             &spec(Method::InPlane(Variant::FullSlice), 2),
             &cfg(),
@@ -117,6 +64,7 @@ mod tests {
         // The core claim of Fig 7: with each method at its best thread
         // block, full-slice wins at every order.
         let dev = DeviceSpec::gtx580();
+        let ctx = EvalContext::new();
         let candidates = [
             LaunchConfig::new(32, 8, 1, 1),
             LaunchConfig::new(64, 8, 1, 1),
@@ -127,7 +75,7 @@ mod tests {
         let best = |k: &KernelSpec| {
             candidates
                 .iter()
-                .map(|c| simulate_star_kernel(&dev, k, c, GridDims::paper()).mpoints_per_s())
+                .map(|c| ctx.evaluate(&dev, k, c, GridDims::paper()).mpoints_per_s())
                 .fold(0.0f64, f64::max)
         };
         for order in [2usize, 4, 6, 8, 12] {
@@ -144,14 +92,15 @@ mod tests {
     fn speedup_decreases_with_order() {
         // §IV-C: the 4r² corner overhead erodes the gain as r grows.
         let dev = DeviceSpec::gtx580();
+        let ctx = EvalContext::new();
         let speedup = |order: usize| {
-            let nv = simulate_star_kernel(
+            let nv = ctx.evaluate(
                 &dev,
                 &spec(Method::ForwardPlane, order),
                 &cfg(),
                 GridDims::paper(),
             );
-            let fs = simulate_star_kernel(
+            let fs = ctx.evaluate(
                 &dev,
                 &spec(Method::InPlane(Variant::FullSlice), order),
                 &cfg(),
@@ -165,11 +114,12 @@ mod tests {
     #[test]
     fn measured_time_is_deterministic() {
         let dev = DeviceSpec::gtx680();
+        let ctx = EvalContext::new();
         let k = spec(Method::InPlane(Variant::FullSlice), 4);
-        let a = measure_kernel(&dev, &k, &cfg(), GridDims::paper(), 7);
-        let b = measure_kernel(&dev, &k, &cfg(), GridDims::paper(), 7);
+        let a = ctx.measure(&dev, &k, &cfg(), GridDims::paper(), 7);
+        let b = ctx.measure(&dev, &k, &cfg(), GridDims::paper(), 7);
         assert_eq!(a.time_s, b.time_s);
-        let clean = simulate_star_kernel(&dev, &k, &cfg(), GridDims::paper());
+        let clean = ctx.evaluate(&dev, &k, &cfg(), GridDims::paper());
         assert!((a.time_s / clean.time_s - 1.0).abs() <= 0.0201);
     }
 
@@ -177,8 +127,9 @@ mod tests {
     fn infeasible_config_reported() {
         // 1024 threads × big register block blows the register budget.
         let dev = DeviceSpec::gtx580();
+        let ctx = EvalContext::new();
         let k = KernelSpec::star_order(Method::InPlane(Variant::FullSlice), 12, Precision::Double);
-        let rep = simulate_star_kernel(
+        let rep = ctx.evaluate(
             &dev,
             &k,
             &LaunchConfig::new(32, 32, 2, 2),
@@ -190,10 +141,11 @@ mod tests {
     #[test]
     fn dp_is_slower_than_sp() {
         let dev = DeviceSpec::gtx580();
+        let ctx = EvalContext::new();
         let sp = KernelSpec::star_order(Method::InPlane(Variant::FullSlice), 4, Precision::Single);
         let dp = KernelSpec::star_order(Method::InPlane(Variant::FullSlice), 4, Precision::Double);
-        let t_sp = simulate_star_kernel(&dev, &sp, &cfg(), GridDims::paper()).time_s;
-        let t_dp = simulate_star_kernel(&dev, &dp, &cfg(), GridDims::paper()).time_s;
+        let t_sp = ctx.evaluate(&dev, &sp, &cfg(), GridDims::paper()).time_s;
+        let t_dp = ctx.evaluate(&dev, &dp, &cfg(), GridDims::paper()).time_s;
         assert!(t_dp > 1.25 * t_sp, "DP/SP time ratio {}", t_dp / t_sp);
     }
 
@@ -203,7 +155,8 @@ mod tests {
         // The paper's own optimal config should land in that ballpark
         // (±35%) in our simulator.
         let dev = DeviceSpec::gtx580();
-        let rep = simulate_star_kernel(
+        let ctx = EvalContext::new();
+        let rep = ctx.evaluate(
             &dev,
             &spec(Method::InPlane(Variant::FullSlice), 2),
             &LaunchConfig::new(256, 1, 1, 8),

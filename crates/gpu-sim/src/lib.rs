@@ -38,7 +38,6 @@ pub mod microsim;
 pub mod noise;
 pub mod occupancy;
 pub mod plan;
-pub mod roofline;
 pub mod smem;
 pub mod timing;
 
@@ -50,8 +49,5 @@ pub use microsim::{simulate_block_plane, MicrosimResult};
 pub use noise::{measurement_noise, measurement_noise_keyed, NoiseKey};
 pub use occupancy::{active_blocks, Occupancy};
 pub use plan::{BlockPlan, GridDims, LaunchGeometry, PlanePlan};
-pub use roofline::{
-    attainable_gflops, intensity, mpoints_ceiling, regime, ridge_point, RooflineRegime,
-};
 pub use smem::{conflict_factor, stencil_phase_factor};
 pub use timing::{apply_noise, simulate, simulate_clean, SimOptions};

@@ -26,7 +26,6 @@ pub mod grid;
 pub mod init;
 pub mod iterate;
 pub mod multigrid;
-pub mod parallel;
 pub mod pipeline;
 pub mod real;
 pub mod reference;
@@ -39,7 +38,6 @@ pub use grid::Grid3;
 pub use init::FillPattern;
 pub use iterate::{iterate_stencil_loop, IterationStats};
 pub use multigrid::{apply_multigrid, GridSet, MultiGridKernel};
-pub use parallel::{apply_reference_par, iterate_par};
 pub use pipeline::RegisterPipeline;
 pub use real::{Precision, Real};
 pub use reference::{apply_reference, apply_reference_inplane_order};

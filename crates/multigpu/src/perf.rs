@@ -58,8 +58,10 @@ pub struct ScalingPoint {
 }
 
 /// Simulate strong scaling of `kernel` at `config` over 1..=max_devices
-/// GPUs of type `device`, splitting the global `dims` into z-slabs.
+/// GPUs of type `device`, splitting the global `dims` into z-slabs and
+/// pricing each slab sweep through `ctx`.
 pub fn simulate_scaling(
+    ctx: &EvalContext,
     device: &DeviceSpec,
     kernel: &KernelSpec,
     config: &LaunchConfig,
@@ -78,9 +80,9 @@ pub fn simulate_scaling(
         }
         // Slowest device: the deepest slab. Cached per slab depth, so
         // scaling curves over many device counts (and repeated curves
-        // in one process) re-price only unseen depths.
+        // through one context) re-price only unseen depths.
         let slab_dims = GridDims::new(dims.lx, dims.ly, deepest);
-        let sweep = EvalContext::global().evaluate(device, kernel, config, slab_dims);
+        let sweep = ctx.evaluate(device, kernel, config, slab_dims);
         if !sweep.feasible() {
             break;
         }
@@ -120,7 +122,15 @@ mod tests {
     #[test]
     fn single_device_has_no_exchange() {
         let (dev, k, c) = setup();
-        let pts = simulate_scaling(&dev, &k, &c, GridDims::paper(), &Interconnect::pcie2(), 1);
+        let pts = simulate_scaling(
+            &EvalContext::new(),
+            &dev,
+            &k,
+            &c,
+            GridDims::paper(),
+            &Interconnect::pcie2(),
+            1,
+        );
         assert_eq!(pts.len(), 1);
         assert_eq!(pts[0].exchange_fraction, 0.0);
         assert!((pts[0].efficiency - 1.0).abs() < 1e-12);
@@ -129,7 +139,15 @@ mod tests {
     #[test]
     fn strong_scaling_speeds_up_but_efficiency_decays() {
         let (dev, k, c) = setup();
-        let pts = simulate_scaling(&dev, &k, &c, GridDims::paper(), &Interconnect::pcie2(), 8);
+        let pts = simulate_scaling(
+            &EvalContext::new(),
+            &dev,
+            &k,
+            &c,
+            GridDims::paper(),
+            &Interconnect::pcie2(),
+            8,
+        );
         assert_eq!(pts.len(), 8);
         for w in pts.windows(2) {
             assert!(
@@ -158,8 +176,24 @@ mod tests {
             latency_s: 50e-6,
         };
         let fast = Interconnect::pcie2();
-        let p_slow = simulate_scaling(&dev, &k, &c, GridDims::paper(), &slow, 4);
-        let p_fast = simulate_scaling(&dev, &k, &c, GridDims::paper(), &fast, 4);
+        let p_slow = simulate_scaling(
+            &EvalContext::new(),
+            &dev,
+            &k,
+            &c,
+            GridDims::paper(),
+            &slow,
+            4,
+        );
+        let p_fast = simulate_scaling(
+            &EvalContext::new(),
+            &dev,
+            &k,
+            &c,
+            GridDims::paper(),
+            &fast,
+            4,
+        );
         assert!(p_slow[3].step_time_s > p_fast[3].step_time_s);
         assert!(p_slow[3].exchange_fraction > p_fast[3].exchange_fraction);
     }
@@ -185,8 +219,24 @@ mod tests {
             )
         };
         let ic = Interconnect::pcie2();
-        let lo = simulate_scaling(&dev, &mk(2), &c, GridDims::paper(), &ic, 4);
-        let hi = simulate_scaling(&dev, &mk(8), &c, GridDims::paper(), &ic, 4);
+        let lo = simulate_scaling(
+            &EvalContext::new(),
+            &dev,
+            &mk(2),
+            &c,
+            GridDims::paper(),
+            &ic,
+            4,
+        );
+        let hi = simulate_scaling(
+            &EvalContext::new(),
+            &dev,
+            &mk(8),
+            &c,
+            GridDims::paper(),
+            &ic,
+            4,
+        );
         // Absolute exchange time (fraction × step) is 4x for r = 4 vs r = 1.
         let abs = |p: &ScalingPoint| p.exchange_fraction * p.step_time_s;
         assert!(abs(&hi[3]) > 3.5 * abs(&lo[3]));

@@ -70,15 +70,11 @@ pub use feasibility::{explain_feasibility, is_feasible};
 pub use rect::Rect;
 pub use schedule::check_schedule;
 pub use sweep::{
-    enumerate_configs, lint_config, lint_config_opts, lint_space, lint_space_opts, ConfigLint,
-    LintOptions, SweepReport,
+    enumerate_configs, lint_config_opts, lint_space_opts, ConfigLint, LintOptions, SweepReport,
 };
 pub use traffic::{
     padded_stride, padded_stride_for, predict_kernel_traffic, predict_kernel_traffic_for,
     predict_kernel_traffic_on, predict_stats, predict_traffic, predict_traffic_on, KernelTraffic,
     PlaneTraffic, TrafficOracle,
 };
-pub use verify::{
-    verify_cuda_kernel, verify_cuda_kernel_on, verify_kernel_source, verify_kernel_source_on,
-    verify_opencl_kernel, verify_opencl_kernel_on,
-};
+pub use verify::{verify_cuda_kernel_on, verify_kernel_source_on, verify_opencl_kernel_on};

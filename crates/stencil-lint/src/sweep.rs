@@ -107,17 +107,7 @@ fn codegen_applicable(kernel: &KernelSpec, config: &LaunchConfig) -> bool {
 /// Feasibility always runs. The plan-level passes (schedule, coverage,
 /// coalescing), the generated-source text lints and the whole-plan
 /// dataflow proof run only on feasible configurations — an infeasible
-/// point has no valid plan to analyse.
-pub fn lint_config(
-    device: &DeviceSpec,
-    kernel: &KernelSpec,
-    dims: &GridDims,
-    config: &LaunchConfig,
-) -> ConfigLint {
-    lint_config_opts(device, kernel, dims, config, LintOptions::default())
-}
-
-/// [`lint_config`] with optional passes: when
+/// point has no valid plan to analyse. When
 /// [`LintOptions::verify_kernels`] is set, the emitted CUDA (and, where
 /// supported, OpenCL) source is additionally proven by the
 /// [`crate::verify`] abstract interpreter on a minimal one-block grid
@@ -183,16 +173,6 @@ pub fn lint_config_opts(
 }
 
 /// Lint a list of configurations in parallel (ordered, deterministic).
-pub fn lint_configs(
-    device: &DeviceSpec,
-    kernel: &KernelSpec,
-    dims: &GridDims,
-    configs: &[LaunchConfig],
-) -> Vec<ConfigLint> {
-    lint_configs_opts(device, kernel, dims, configs, LintOptions::default())
-}
-
-/// [`lint_configs`] with optional passes.
 pub fn lint_configs_opts(
     device: &DeviceSpec,
     kernel: &KernelSpec,
@@ -369,11 +349,6 @@ impl SweepReport {
 }
 
 /// Sweep the full enumeration grid of `device` for `kernel` on `dims`.
-pub fn lint_space(device: &DeviceSpec, kernel: &KernelSpec, dims: &GridDims) -> SweepReport {
-    lint_space_opts(device, kernel, dims, LintOptions::default())
-}
-
-/// [`lint_space`] with optional passes.
 pub fn lint_space_opts(
     device: &DeviceSpec,
     kernel: &KernelSpec,
@@ -412,11 +387,23 @@ mod tests {
         let k = kernel(Method::InPlane(Variant::FullSlice), 4);
         let dims = GridDims::paper();
 
-        let good = lint_config(&dev, &k, &dims, &LaunchConfig::new(64, 4, 1, 2));
+        let good = lint_config_opts(
+            &dev,
+            &k,
+            &dims,
+            &LaunchConfig::new(64, 4, 1, 2),
+            LintOptions::default(),
+        );
         assert!(good.feasible);
         assert!(!good.has_errors(), "{:?}", good.diagnostics);
 
-        let bad = lint_config(&dev, &k, &dims, &LaunchConfig::new(512, 32, 8, 8));
+        let bad = lint_config_opts(
+            &dev,
+            &k,
+            &dims,
+            &LaunchConfig::new(512, 32, 8, 8),
+            LintOptions::default(),
+        );
         assert!(!bad.feasible);
         assert!(bad.has_errors(), "infeasible must carry a coded reason");
     }
@@ -429,7 +416,7 @@ mod tests {
             let method = routine.method();
             let k = kernel(method, 4);
             let configs = enumerate_configs_quick(&dev);
-            let results = lint_configs(&dev, &k, &dims, &configs);
+            let results = lint_configs_opts(&dev, &k, &dims, &configs, LintOptions::default());
             let report = SweepReport::from_results(&dev, &k, &results);
             assert!(report.clean(), "{method:?}:\n{}", report.render());
             assert_eq!(report.examined, configs.len());
@@ -459,7 +446,7 @@ mod tests {
             assert!(!with.has_errors(), "{method:?}: {:?}", with.diagnostics);
             // The option is additive: without it the result is the
             // default pass set, bit for bit.
-            let without = lint_config(&dev, &k, &dims, &cfg);
+            let without = lint_config_opts(&dev, &k, &dims, &cfg, LintOptions::default());
             assert_eq!(with.diagnostics, without.diagnostics);
         }
     }
@@ -471,12 +458,13 @@ mod tests {
         let cfg = LaunchConfig::new(64, 4, 1, 2);
 
         // In-plane plans carry the documented drain-phase dead-arm
-        // warning; it must surface through lint_config as LNT-D103.
-        let inp = lint_config(
+        // warning; it must surface through lint_config_opts as LNT-D103.
+        let inp = lint_config_opts(
             &dev,
             &kernel(Method::InPlane(Variant::Classical), 4),
             &dims,
             &cfg,
+            LintOptions::default(),
         );
         assert!(inp.feasible && !inp.has_errors(), "{:?}", inp.diagnostics);
         assert!(
@@ -486,7 +474,13 @@ mod tests {
         );
 
         // Forward plans analyse completely clean — no D-family findings.
-        let fwd = lint_config(&dev, &kernel(Method::ForwardPlane, 4), &dims, &cfg);
+        let fwd = lint_config_opts(
+            &dev,
+            &kernel(Method::ForwardPlane, 4),
+            &dims,
+            &cfg,
+            LintOptions::default(),
+        );
         assert!(fwd.feasible && !fwd.has_errors(), "{:?}", fwd.diagnostics);
         assert!(
             !fwd.diagnostics.iter().any(|d| d.code.starts_with("LNT-D")),
@@ -504,7 +498,7 @@ mod tests {
             LaunchConfig::new(64, 4, 1, 2),
             LaunchConfig::new(512, 32, 8, 8),
         ];
-        let results = lint_configs(&dev, &k, &dims, &configs);
+        let results = lint_configs_opts(&dev, &k, &dims, &configs, LintOptions::default());
         let report = SweepReport::from_results(&dev, &k, &results);
         let j = report.to_json();
         assert!(j.contains("\"examined\":2"));
@@ -520,10 +514,10 @@ mod tests {
         let dims = GridDims::paper();
         let configs: Vec<LaunchConfig> =
             enumerate_configs_quick(&dev).into_iter().take(64).collect();
-        let par = lint_configs(&dev, &k, &dims, &configs);
+        let par = lint_configs_opts(&dev, &k, &dims, &configs, LintOptions::default());
         let seq: Vec<ConfigLint> = configs
             .iter()
-            .map(|c| lint_config(&dev, &k, &dims, c))
+            .map(|c| lint_config_opts(&dev, &k, &dims, c, LintOptions::default()))
             .collect();
         assert_eq!(par.len(), seq.len());
         for (a, b) in par.iter().zip(&seq) {

@@ -41,8 +41,7 @@ use crate::diag::Diagnostic;
 use crate::kernelir::lexer::Pos;
 use crate::kernelir::{parse_kernel, run_block, BlockEvents, LaunchEnv, Violation, ViolationKind};
 use crate::traffic::{
-    padded_stride_for, predict_kernel_traffic_for, predict_traffic, row_transactions,
-    KernelTraffic, COALESCE_SEGMENT_BYTES,
+    padded_stride_for, predict_kernel_traffic_for, predict_traffic, row_transactions, KernelTraffic,
 };
 use gpu_sim::DeviceSpec;
 use inplane_core::plan::lower_step;
@@ -52,30 +51,12 @@ use std::collections::{BTreeMap, HashSet};
 use stencil_codegen::{generate_kernel, generate_opencl_kernel_full, SourceAnchor};
 
 /// Generate the CUDA kernel for `(spec, config)` and verify it against
-/// `dims` (full halo-framed extents; the interior must tile exactly),
-/// assuming the legacy 128-byte coalescing geometry.
-pub fn verify_cuda_kernel(
-    spec: &KernelSpec,
-    config: &LaunchConfig,
-    dims: (usize, usize, usize),
-) -> Vec<Diagnostic> {
-    let k = generate_kernel(spec, config);
-    verify_source_for(
-        &k.source,
-        &k.name,
-        &k.anchors,
-        spec,
-        config,
-        dims,
-        COALESCE_SEGMENT_BYTES,
-    )
-}
-
-/// [`verify_cuda_kernel`] against `device`'s coalescing geometry: the
-/// abstract interpreter runs with the segment-padded host stride and
-/// K005 re-derives transactions over `device.coalesce_segment_bytes`
-/// segments. The emitted text is unchanged — kernels take
-/// `stride`/`pstride` as runtime arguments.
+/// `dims` (full halo-framed extents; the interior must tile exactly)
+/// with `device`'s coalescing geometry: the abstract interpreter runs
+/// with the segment-padded host stride and K005 re-derives transactions
+/// over `device.coalesce_segment_bytes` segments. The emitted text does
+/// not depend on the device — kernels take `stride`/`pstride` as
+/// runtime arguments.
 pub fn verify_cuda_kernel_on(
     spec: &KernelSpec,
     config: &LaunchConfig,
@@ -94,29 +75,8 @@ pub fn verify_cuda_kernel_on(
     )
 }
 
-/// Generate the OpenCL kernel for `(spec, config)` and verify it.
-///
-/// # Panics
-/// Panics for routines without an OpenCL port (`opencl_supported`
-/// false), like the generator itself.
-pub fn verify_opencl_kernel(
-    spec: &KernelSpec,
-    config: &LaunchConfig,
-    dims: (usize, usize, usize),
-) -> Vec<Diagnostic> {
-    let k = generate_opencl_kernel_full(spec, config);
-    verify_source_for(
-        &k.source,
-        &k.name,
-        &k.anchors,
-        spec,
-        config,
-        dims,
-        COALESCE_SEGMENT_BYTES,
-    )
-}
-
-/// [`verify_opencl_kernel`] against `device`'s coalescing geometry.
+/// Generate the OpenCL kernel for `(spec, config)` and verify it
+/// against `device`'s coalescing geometry.
 ///
 /// # Panics
 /// Panics for routines without an OpenCL port, like the generator.
@@ -139,37 +99,13 @@ pub fn verify_opencl_kernel_on(
 }
 
 /// Verify arbitrary kernel `source` claiming to implement
-/// `(spec, config)` over `dims`, assuming the legacy 128-byte
-/// coalescing geometry. `expected_name` is the routine's kernel
-/// function name; `anchors` (possibly empty) label emitter phases for
-/// diagnostics.
+/// `(spec, config)` over `dims`, with `device`'s coalescing geometry.
+/// `expected_name` is the routine's kernel function name; `anchors`
+/// (possibly empty) label emitter phases for diagnostics.
 ///
 /// # Panics
 /// Panics when `dims` does not tile exactly: the interior extents
 /// must be positive multiples of the tile, and `nz >= 2r + 1`.
-pub fn verify_kernel_source(
-    source: &str,
-    expected_name: &str,
-    anchors: &[SourceAnchor],
-    spec: &KernelSpec,
-    config: &LaunchConfig,
-    dims: (usize, usize, usize),
-) -> Vec<Diagnostic> {
-    verify_source_for(
-        source,
-        expected_name,
-        anchors,
-        spec,
-        config,
-        dims,
-        COALESCE_SEGMENT_BYTES,
-    )
-}
-
-/// [`verify_kernel_source`] against `device`'s coalescing geometry.
-///
-/// # Panics
-/// Panics when `dims` does not tile exactly, like the legacy entry.
 pub fn verify_kernel_source_on(
     source: &str,
     expected_name: &str,
@@ -565,7 +501,7 @@ mod tests {
             let spec = KernelSpec::star_order(method, 4, Precision::Single);
             let config = LaunchConfig::new(8, 2, 1, 2);
             let dims = dims_for(&spec, &config, 1, 1);
-            let diags = verify_cuda_kernel(&spec, &config, dims);
+            let diags = verify_cuda_kernel_on(&spec, &config, dims, &DeviceSpec::gtx580());
             assert!(diags.is_empty(), "{method}: {:?}", diags);
         }
     }
@@ -576,7 +512,7 @@ mod tests {
             let spec = KernelSpec::star_order(method, 4, Precision::Double);
             let config = LaunchConfig::new(8, 2, 1, 2);
             let dims = dims_for(&spec, &config, 2, 1);
-            let diags = verify_opencl_kernel(&spec, &config, dims);
+            let diags = verify_opencl_kernel_on(&spec, &config, dims, &DeviceSpec::gtx580());
             assert!(diags.is_empty(), "{method}: {:?}", diags);
         }
     }
@@ -611,7 +547,15 @@ mod tests {
         let k = generate_kernel(&spec, &config);
         let tampered = k.source.replacen("__syncthreads();", "", 1);
         let dims = dims_for(&spec, &config, 1, 1);
-        let diags = verify_kernel_source(&tampered, &k.name, &k.anchors, &spec, &config, dims);
+        let diags = verify_kernel_source_on(
+            &tampered,
+            &k.name,
+            &k.anchors,
+            &spec,
+            &config,
+            dims,
+            &DeviceSpec::gtx580(),
+        );
         assert!(
             diags.iter().any(|d| d.code.starts_with("LNT-K")),
             "{diags:?}"
@@ -623,13 +567,14 @@ mod tests {
         let spec = KernelSpec::star_order(Method::ForwardPlane, 2, Precision::Single);
         let config = LaunchConfig::new(8, 2, 1, 1);
         let dims = dims_for(&spec, &config, 1, 1);
-        let diags = verify_kernel_source(
+        let diags = verify_kernel_source_on(
             "void broken(",
             "stencil_forward_plane",
             &[],
             &spec,
             &config,
             dims,
+            &DeviceSpec::gtx580(),
         );
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, "LNT-K006");
@@ -641,13 +586,14 @@ mod tests {
         let config = LaunchConfig::new(8, 2, 1, 1);
         let k = generate_kernel(&spec, &config);
         let dims = dims_for(&spec, &config, 1, 1);
-        let diags = verify_kernel_source(
+        let diags = verify_kernel_source_on(
             &k.source,
             "some_other_name",
             &k.anchors,
             &spec,
             &config,
             dims,
+            &DeviceSpec::gtx580(),
         );
         assert!(diags.iter().any(|d| d.code == "LNT-K006"), "{diags:?}");
     }
@@ -663,7 +609,15 @@ mod tests {
         let tampered = k.source.replace("(z + R + 1)", "(z + R + 2)");
         assert_ne!(tampered, k.source);
         let dims = dims_for(&spec, &config, 1, 1);
-        let diags = verify_kernel_source(&tampered, &k.name, &k.anchors, &spec, &config, dims);
+        let diags = verify_kernel_source_on(
+            &tampered,
+            &k.name,
+            &k.anchors,
+            &spec,
+            &config,
+            dims,
+            &DeviceSpec::gtx580(),
+        );
         assert!(
             diags
                 .iter()

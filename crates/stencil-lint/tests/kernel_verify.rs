@@ -9,15 +9,16 @@
 //!    stores for vector-aligned configurations;
 //! 3. the abstract interpreter executes the *emitted text* and the
 //!    per-plane traffic it observes must equal (2) exactly — that is
-//!    the `LNT-K005` check inside [`stencil_lint::verify_cuda_kernel`].
+//!    the `LNT-K005` check inside [`stencil_lint::verify_cuda_kernel_on`].
 //!
 //! Any drift between the emitters, the lowered plan and the oracles
 //! breaks one of the equalities below.
 
+use gpu_sim::DeviceSpec;
 use inplane_core::{registry, KernelSpec, LaunchConfig, Method, Variant};
 use stencil_grid::Precision;
 use stencil_lint::{
-    predict_kernel_traffic, predict_traffic, verify_cuda_kernel, verify_opencl_kernel,
+    predict_kernel_traffic, predict_traffic, verify_cuda_kernel_on, verify_opencl_kernel_on,
 };
 
 /// Smallest grid that exercises prologue, steady state and the store
@@ -55,14 +56,14 @@ fn every_routine_verifies_clean_on_both_precisions() {
             for ((tx, ty, rx, ry), (gx, gy)) in SHAPES {
                 let config = LaunchConfig::new(tx, ty, rx, ry);
                 let dims = dims_for(&spec, &config, gx, gy);
-                let d = verify_cuda_kernel(&spec, &config, dims);
+                let d = verify_cuda_kernel_on(&spec, &config, dims, &DeviceSpec::gtx580());
                 assert!(
                     d.is_empty(),
                     "{method:?} {precision:?} {config} CUDA: {:?}",
                     d.iter().map(|x| x.render()).collect::<Vec<_>>()
                 );
                 if routine.opencl_supported() {
-                    let d = verify_opencl_kernel(&spec, &config, dims);
+                    let d = verify_opencl_kernel_on(&spec, &config, dims, &DeviceSpec::gtx580());
                     assert!(
                         d.is_empty(),
                         "{method:?} {precision:?} {config} OpenCL: {:?}",
@@ -90,7 +91,7 @@ fn high_order_kernels_verify_clean() {
             let spec = KernelSpec::star_order(method, 8, precision);
             let config = LaunchConfig::new(8, 2, 1, 2);
             let dims = dims_for(&spec, &config, 1, 1);
-            let d = verify_cuda_kernel(&spec, &config, dims);
+            let d = verify_cuda_kernel_on(&spec, &config, dims, &DeviceSpec::gtx580());
             assert!(
                 d.is_empty(),
                 "{method:?} {precision:?}: {:?}",

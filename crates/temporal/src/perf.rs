@@ -133,11 +133,12 @@ pub fn temporal_plan(
 /// advances the whole grid by `T` steps, so the effective rate is `T ×`
 /// points over the sweep time.
 ///
-/// Routes through the global [`EvalContext`]: the temporal plan and its
-/// clean price are memoized under a key salted with `T` (so a `T`-deep
-/// plan never aliases the plain spatial lowering of the same launch);
-/// noise, if enabled in `opts`, is applied after the cache.
+/// Prices through `ctx`: the temporal plan and its clean price are
+/// memoized under a key salted with `T` (so a `T`-deep plan never
+/// aliases the plain spatial lowering of the same launch); noise, if
+/// enabled in `opts`, is applied after the cache.
 pub fn simulate_temporal(
+    ctx: &EvalContext,
     device: &DeviceSpec,
     kernel: &KernelSpec,
     config: &TemporalConfig,
@@ -145,7 +146,7 @@ pub fn simulate_temporal(
     opts: &SimOptions,
 ) -> (SimReport, f64) {
     let key = PlanKey::with_salt(device, kernel, &config.launch, dims, config.t_steps as u64);
-    let mut report = EvalContext::global().price_with(device, &key, dims, opts, || {
+    let mut report = ctx.price_with(device, &key, dims, opts, || {
         temporal_plan(device, kernel, config, dims)
     });
     apply_noise(
@@ -173,7 +174,14 @@ mod tests {
         let dev = DeviceSpec::gtx580();
         let dims = GridDims::paper();
         let cfg = TemporalConfig::new(LaunchConfig::new(64, 8, 1, 1), 1);
-        let (rep, eff) = simulate_temporal(&dev, &kernel(), &cfg, dims, &SimOptions::default());
+        let (rep, eff) = simulate_temporal(
+            &EvalContext::new(),
+            &dev,
+            &kernel(),
+            &cfg,
+            dims,
+            &SimOptions::default(),
+        );
         assert!(rep.feasible());
         assert!((eff - rep.mpoints_per_s()).abs() < 1e-9);
     }
@@ -185,7 +193,14 @@ mod tests {
         let dims = GridDims::paper();
         let per_step_bytes = |t: usize| {
             let cfg = TemporalConfig::new(LaunchConfig::new(64, 8, 1, 1), t);
-            let (rep, _) = simulate_temporal(&dev, &kernel(), &cfg, dims, &SimOptions::default());
+            let (rep, _) = simulate_temporal(
+                &EvalContext::new(),
+                &dev,
+                &kernel(),
+                &cfg,
+                dims,
+                &SimOptions::default(),
+            );
             rep.mem.transferred_bytes as f64 / (rep.points as f64 * t as f64)
         };
         assert!(per_step_bytes(2) < per_step_bytes(1));
@@ -197,7 +212,14 @@ mod tests {
         let dev = DeviceSpec::gtx580();
         let dims = GridDims::paper();
         let cfg = TemporalConfig::new(LaunchConfig::new(64, 8, 1, 1), 16);
-        let (rep, _) = simulate_temporal(&dev, &kernel(), &cfg, dims, &SimOptions::default());
+        let (rep, _) = simulate_temporal(
+            &EvalContext::new(),
+            &dev,
+            &kernel(),
+            &cfg,
+            dims,
+            &SimOptions::default(),
+        );
         assert!(
             !rep.feasible(),
             "T = 16 slabs cannot fit 48 KB of shared memory"
@@ -212,7 +234,15 @@ mod tests {
         let dims = GridDims::paper();
         let eff = |t: usize| {
             let cfg = TemporalConfig::new(LaunchConfig::new(64, 8, 1, 1), t);
-            simulate_temporal(&dev, &kernel(), &cfg, dims, &SimOptions::default()).1
+            simulate_temporal(
+                &EvalContext::new(),
+                &dev,
+                &kernel(),
+                &cfg,
+                dims,
+                &SimOptions::default(),
+            )
+            .1
         };
         let e1 = eff(1);
         let best = (2..=8).map(eff).fold(0.0f64, f64::max);

@@ -3,7 +3,7 @@
 //! iteration, and the performance plan respects its scaling laws.
 
 use gpu_sim::{DeviceSpec, GridDims, SimOptions};
-use inplane_core::{KernelSpec, LaunchConfig, Method, Variant};
+use inplane_core::{EvalContext, KernelSpec, LaunchConfig, Method, Variant};
 use proptest::prelude::*;
 use stencil_grid::{
     apply_reference, iterate_stencil_loop, max_abs_diff, Boundary, FillPattern, Grid3, StarStencil,
@@ -48,7 +48,7 @@ proptest! {
         let mut prev = f64::INFINITY;
         for t in 1..=4 {
             let cfg = TemporalConfig::new(LaunchConfig::new(tx, ty, 1, 1), t);
-            let (rep, _) = simulate_temporal(&dev, &kernel, &cfg, dims, &SimOptions::default());
+            let (rep, _) = simulate_temporal(&EvalContext::new(), &dev, &kernel, &cfg, dims, &SimOptions::default());
             if !rep.feasible() {
                 break;
             }

@@ -181,17 +181,6 @@ impl TuneServer {
     /// A server over `store`, evaluating through `ctx`.
     pub fn new(store: Arc<ShardedStore>, ctx: Arc<EvalContext>, config: ServerConfig) -> Self {
         let service = TuneService::new(Arc::clone(&store) as Arc<dyn TuneStore>, ctx);
-        Self::build(store, service, config)
-    }
-
-    /// A server evaluating through the process-wide
-    /// [`EvalContext::global`] — what the bench binaries use.
-    pub fn with_global_ctx(store: Arc<ShardedStore>, config: ServerConfig) -> Self {
-        let service = TuneService::with_global_ctx(Arc::clone(&store) as Arc<dyn TuneStore>);
-        Self::build(store, service, config)
-    }
-
-    fn build(store: Arc<ShardedStore>, service: TuneService, config: ServerConfig) -> Self {
         TuneServer {
             service,
             store,

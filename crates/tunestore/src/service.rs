@@ -156,24 +156,10 @@ pub struct ServiceStats {
 /// Maximum warm-start donor configurations injected per request.
 const MAX_WARM_SEEDS: usize = 3;
 
-enum Ctx {
-    Static(&'static EvalContext),
-    Shared(Arc<EvalContext>),
-}
-
-impl Ctx {
-    fn get(&self) -> &EvalContext {
-        match self {
-            Ctx::Static(ctx) => ctx,
-            Ctx::Shared(ctx) => ctx,
-        }
-    }
-}
-
 /// The single-flight tuning service. See the [module docs](self).
 pub struct TuneService {
     store: Arc<dyn TuneStore>,
-    ctx: Ctx,
+    ctx: Arc<EvalContext>,
     inflight: SingleFlight<TuneResponse>,
     served_from_store: AtomicU64,
     computed: AtomicU64,
@@ -184,17 +170,6 @@ pub struct TuneService {
 impl TuneService {
     /// A service over `store` evaluating through `ctx`.
     pub fn new(store: Arc<dyn TuneStore>, ctx: Arc<EvalContext>) -> Self {
-        Self::build(store, Ctx::Shared(ctx))
-    }
-
-    /// A service over `store` evaluating through the process-wide
-    /// [`EvalContext::global`] — what the bench binaries use, so
-    /// service-routed and direct evaluations share one cache.
-    pub fn with_global_ctx(store: Arc<dyn TuneStore>) -> Self {
-        Self::build(store, Ctx::Static(EvalContext::global()))
-    }
-
-    fn build(store: Arc<dyn TuneStore>, ctx: Ctx) -> Self {
         TuneService {
             store,
             ctx,
@@ -213,7 +188,7 @@ impl TuneService {
 
     /// The evaluation context requests are priced through.
     pub fn ctx(&self) -> &EvalContext {
-        self.ctx.get()
+        &self.ctx
     }
 
     /// Number of searches currently in flight (leaders computing).
@@ -410,7 +385,7 @@ impl TuneService {
     }
 
     fn compute(&self, key: &TuneKey, req: &TuneRequest) -> TuneResponse {
-        let ctx = self.ctx.get();
+        let ctx = &*self.ctx;
         // The search is the long-running part; `region::compute` marks
         // it so the model checker warns (CCK-101) if a caller ever
         // reshapes this path to hold a service lock across it.

@@ -23,11 +23,12 @@ fn main() {
         Precision::Single,
     );
     println!("auto-tuning the order-{order} SP full-slice kernel on 512x512x256\n");
+    let ctx = EvalContext::new();
 
     for dev in DeviceSpec::paper_devices() {
         let space = ParameterSpace::paper_space(&dev, &kernel, &dims);
-        let ex = exhaustive_tune(&dev, &kernel, dims, &space, 1);
-        let mb = model_based_tune(&dev, &kernel, dims, &space, 5.0, 1);
+        let ex = exhaustive_tune_with(&ctx, &dev, &kernel, dims, &space, 1);
+        let mb = model_based_tune_with(&ctx, &dev, &kernel, dims, &space, 5.0, 1);
         println!("{} — {} feasible configurations", dev.name, space.len());
         println!(
             "  exhaustive : {} -> {:8.0} MPoint/s",

@@ -28,7 +28,7 @@ fn main() -> std::io::Result<()> {
 
     // Tune first — the generated source bakes in the blocking factors.
     let space = ParameterSpace::quick_space(&device, &kernel, &dims);
-    let best = exhaustive_tune(&device, &kernel, dims, &space, 1).best;
+    let best = exhaustive_tune_with(&EvalContext::new(), &device, &kernel, dims, &space, 1).best;
     println!(
         "tuned {} on {}: {} -> {:.0} MPoint/s (simulated)",
         kernel.name, device.name, best.config, best.mpoints

@@ -11,7 +11,7 @@
 //! cargo run --release --example heat_diffusion
 //! ```
 
-use inplane_isl::core::{execute_step, simulate_star_kernel};
+use inplane_isl::core::execute_step;
 use inplane_isl::prelude::*;
 
 fn peak(g: &Grid3<f64>) -> f64 {
@@ -59,6 +59,7 @@ fn main() {
     println!("  pulse decayed {:.1}x", peak(&initial) / peak(&cpu));
 
     // What would this cost on real-sized grids on a GTX580?
+    let ctx = EvalContext::new();
     let dev = gpu_sim::DeviceSpec::gtx580();
     let dims = GridDims::paper();
     println!(
@@ -78,7 +79,7 @@ fn main() {
         ),
     ] {
         let spec = KernelSpec::star_order(method, 2, stencil_grid::Precision::Double);
-        let rep = simulate_star_kernel(&dev, &spec, &cfg, dims);
+        let rep = ctx.evaluate(&dev, &spec, &cfg, dims);
         println!(
             "  {label:20} {:7.2} ms/step -> {:6.1} ms total ({:.0} MPoint/s)",
             rep.time_s * 1e3,

@@ -59,6 +59,7 @@ fn main() {
     let tuned = LaunchConfig::new(128, 4, 1, 2);
     println!("\nprojected strong scaling at 512x512x256 SP on GTX580s over PCIe 2.0:");
     for p in simulate_scaling(
+        &EvalContext::new(),
         &dev,
         &kernel,
         &tuned,

@@ -85,11 +85,12 @@ fn main() -> std::io::Result<()> {
         "\nprojected {iterations} DP iterations at 512x512x256 on {}:",
         dev.name
     );
+    let ctx = EvalContext::new();
     for method in [Method::ForwardPlane, Method::InPlane(Variant::FullSlice)] {
         let app: &dyn MultiGridKernel<f64> = &poisson;
         let spec = KernelSpec::from_app(method, app);
         let space = ParameterSpace::quick_space(&dev, &spec, &dims);
-        let best = exhaustive_tune(&dev, &spec, dims, &space, 1).best;
+        let best = exhaustive_tune_with(&ctx, &dev, &spec, dims, &space, 1).best;
         let sweep_s = dims.points() as f64 / (best.mpoints * 1e6);
         println!(
             "  {:24} {:7.0} MPoint/s -> {:6.1} s total (config {})",

@@ -11,7 +11,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use inplane_isl::core::{execute_step, simulate_star_kernel};
+use inplane_isl::core::execute_step;
 use inplane_isl::prelude::*;
 
 fn main() {
@@ -50,11 +50,12 @@ fn main() {
     assert!(report.passed());
 
     // --- 3. price it on the paper's three GPUs ---------------------------
+    let ctx = EvalContext::new();
     let dims = GridDims::paper();
     let kernel = KernelSpec::inplane(Variant::FullSlice, &stencil);
     println!("\nsimulated performance at {config} on the paper grid (512x512x256):");
     for dev in gpu_sim::DeviceSpec::paper_devices() {
-        let rep = simulate_star_kernel(&dev, &kernel, &config, dims);
+        let rep = ctx.evaluate(&dev, &kernel, &config, dims);
         println!(
             "  {:16} {:8.0} MPoint/s  ({:.0} GB/s, occupancy {:.0}%)",
             dev.name,
@@ -67,7 +68,7 @@ fn main() {
     // --- 4. auto-tune on the GTX580 ---------------------------------------
     let dev = gpu_sim::DeviceSpec::gtx580();
     let space = ParameterSpace::quick_space(&dev, &kernel, &dims);
-    let tuned = exhaustive_tune(&dev, &kernel, dims, &space, 1);
+    let tuned = exhaustive_tune_with(&ctx, &dev, &kernel, dims, &space, 1);
     println!(
         "\nauto-tuned on {}: {} -> {:.0} MPoint/s ({} configurations searched)",
         dev.name,
@@ -76,10 +77,10 @@ fn main() {
         tuned.evaluated()
     );
 
-    // Steps 3 and 4 both measured through the global EvalContext: each
+    // Steps 3 and 4 both measured through one EvalContext: each
     // (device, kernel, config, dims) point was planned and priced once,
     // and the tuner's noisy "measurements" reused the cached clean price.
-    let stats = EvalContext::global().stats();
+    let stats = ctx.stats();
     println!(
         "evaluation cache: {} hits, {} misses ({:.0}% hit rate)",
         stats.hits,

@@ -8,7 +8,7 @@
 //! cargo run --release --example weather_advection
 //! ```
 
-use inplane_isl::apps::{benchmark_app, Upstream};
+use inplane_isl::apps::{benchmark_app_with, Upstream};
 use inplane_isl::prelude::*;
 use inplane_isl::sim::DeviceSpec;
 use stencil_grid::{apply_multigrid, GridSet, MultiGridKernel};
@@ -63,9 +63,10 @@ fn main() {
     // The Fig 11 measurement for this kernel.
     println!("\nFig 11 bar group for Upstream (SP, tuned):");
     let dims = GridDims::paper();
+    let ctx = EvalContext::new();
     for dev in DeviceSpec::paper_devices() {
         let app: &dyn MultiGridKernel<f32> = &Upstream::default();
-        let r = benchmark_app::<f32>(&dev, app, dims, true, 1);
+        let r = benchmark_app_with::<f32>(&ctx, &dev, app, dims, true, 1);
         println!(
             "  {:16} nvstencil {:7.0} MP/s @ {} | in-plane {:7.0} MP/s @ {} | speedup {:.2}x",
             dev.name,

@@ -26,14 +26,19 @@
 //! ```
 //! use inplane_isl::prelude::*;
 //!
-//! // A 4th-order single-precision stencil on a small grid, tuned and run
-//! // on the simulated GTX580.
+//! // A 4th-order single-precision stencil on a small grid, priced and
+//! // tuned on the simulated GTX580 through one evaluation context.
+//! let ctx = EvalContext::new();
 //! let device = DeviceSpec::gtx580();
 //! let stencil = StarStencil::<f32>::from_order(4);
 //! let kernel = KernelSpec::inplane(Variant::FullSlice, &stencil);
-//! let config = LaunchConfig::new(32, 4, 1, 4);
-//! let report = simulate_star_kernel(&device, &kernel, &config, GridDims::new(64, 64, 32));
+//! let dims = GridDims::new(64, 64, 32);
+//! let report = ctx.evaluate(&device, &kernel, &LaunchConfig::new(32, 4, 1, 4), dims);
 //! assert!(report.mpoints_per_s() > 0.0);
+//!
+//! let space = ParameterSpace::quick_space(&device, &kernel, &dims);
+//! let best = exhaustive_tune_with(&ctx, &device, &kernel, dims, &space, 1).best;
+//! assert!(best.mpoints > 0.0);
 //! ```
 
 pub use gpu_sim as sim;
@@ -49,10 +54,11 @@ pub use stencil_temporal as temporal;
 pub mod prelude {
     pub use gpu_sim::{DeviceSpec, GridDims, SimOptions};
     pub use inplane_core::{
-        simulate_star_kernel, CacheStats, EvalContext, KernelSpec, LaunchConfig, Method, PlanKey,
-        Variant,
+        CacheStats, EvalContext, KernelSpec, LaunchConfig, Method, PlanKey, Variant,
     };
-    pub use stencil_autotune::{exhaustive_tune, model_based_tune, ParameterSpace, TuneOutcome};
+    pub use stencil_autotune::{
+        exhaustive_tune_with, model_based_tune_with, ParameterSpace, TuneOutcome,
+    };
     pub use stencil_grid::{
         apply_reference, iterate_stencil_loop, Boundary, FillPattern, Grid3, Precision, Real,
         StarStencil,

@@ -2,7 +2,6 @@
 //! two runs of any experiment produce identical results, and different
 //! seeds only perturb within the declared noise amplitude.
 
-use inplane_isl::core::simulate::measure_kernel;
 use inplane_isl::core::Method;
 use inplane_isl::prelude::*;
 use stencil_autotune::ParameterSpace;
@@ -17,8 +16,8 @@ fn simulation_is_deterministic() {
     let dev = DeviceSpec::gtx580();
     let dims = GridDims::paper();
     let c = LaunchConfig::new(64, 4, 1, 2);
-    let a = simulate_star_kernel(&dev, &kernel(), &c, dims);
-    let b = simulate_star_kernel(&dev, &kernel(), &c, dims);
+    let a = EvalContext::new().evaluate(&dev, &kernel(), &c, dims);
+    let b = EvalContext::new().evaluate(&dev, &kernel(), &c, dims);
     assert_eq!(a, b);
 }
 
@@ -27,10 +26,16 @@ fn measurement_noise_is_seeded_not_random() {
     let dev = DeviceSpec::gtx680();
     let dims = GridDims::paper();
     let c = LaunchConfig::new(64, 4, 1, 2);
-    let t1 = measure_kernel(&dev, &kernel(), &c, dims, 42).time_s;
-    let t2 = measure_kernel(&dev, &kernel(), &c, dims, 42).time_s;
+    let t1 = EvalContext::new()
+        .measure(&dev, &kernel(), &c, dims, 42)
+        .time_s;
+    let t2 = EvalContext::new()
+        .measure(&dev, &kernel(), &c, dims, 42)
+        .time_s;
     assert_eq!(t1, t2);
-    let t3 = measure_kernel(&dev, &kernel(), &c, dims, 43).time_s;
+    let t3 = EvalContext::new()
+        .measure(&dev, &kernel(), &c, dims, 43)
+        .time_s;
     assert_ne!(t1, t3, "different seeds should jitter");
     assert!(
         (t3 / t1 - 1.0).abs() < 0.025,
@@ -44,12 +49,12 @@ fn tuning_outcome_is_reproducible() {
     let dims = GridDims::new(256, 256, 32);
     let k = kernel();
     let space = ParameterSpace::quick_space(&dev, &k, &dims);
-    let a = exhaustive_tune(&dev, &k, dims, &space, 5);
-    let b = exhaustive_tune(&dev, &k, dims, &space, 5);
+    let a = exhaustive_tune_with(&EvalContext::new(), &dev, &k, dims, &space, 5);
+    let b = exhaustive_tune_with(&EvalContext::new(), &dev, &k, dims, &space, 5);
     assert_eq!(a.best, b.best);
     assert_eq!(a.samples, b.samples);
-    let ma = model_based_tune(&dev, &k, dims, &space, 5.0, 5);
-    let mb = model_based_tune(&dev, &k, dims, &space, 5.0, 5);
+    let ma = model_based_tune_with(&EvalContext::new(), &dev, &k, dims, &space, 5.0, 5);
+    let mb = model_based_tune_with(&EvalContext::new(), &dev, &k, dims, &space, 5.0, 5);
     assert_eq!(ma, mb);
 }
 

@@ -2,6 +2,7 @@
 //! mode): the binaries' library backends must run to completion and
 //! produce structurally valid output.
 
+use inplane_isl::core::EvalContext;
 use stencil_bench::exp;
 use stencil_bench::RunOpts;
 
@@ -31,14 +32,14 @@ fn table3_runs() {
 
 #[test]
 fn fig7_runs() {
-    let cells = exp::fig7::compute(&quick());
+    let cells = exp::fig7::compute(&EvalContext::new(), None, &quick());
     assert_eq!(cells.len(), 18);
     assert_eq!(exp::fig7::render(&cells).len(), 18);
 }
 
 #[test]
 fn fig8_runs() {
-    let panels = exp::fig8::compute(&quick());
+    let panels = exp::fig8::compute(&EvalContext::new(), &quick());
     assert_eq!(panels.len(), 2);
     for p in &panels {
         assert_eq!(p.points.len(), 16);
@@ -48,7 +49,7 @@ fn fig8_runs() {
 
 #[test]
 fn table4_runs() {
-    let cells = exp::table4::compute(&quick());
+    let cells = exp::table4::compute(&EvalContext::new(), None, &quick());
     assert_eq!(cells.len(), 2 * 6 * 3); // precisions x orders x devices
     assert!(cells.iter().all(|c| c.mpoints > 0.0));
     assert!(!exp::table4::render(&cells).is_empty());
@@ -56,13 +57,13 @@ fn table4_runs() {
 
 #[test]
 fn fig9_runs() {
-    let cells = exp::fig9::compute(&quick());
+    let cells = exp::fig9::compute(&EvalContext::new(), None, &quick());
     assert_eq!(cells.len(), 18);
 }
 
 #[test]
 fn fig10_runs() {
-    let cells = exp::fig10::compute(&quick());
+    let cells = exp::fig10::compute(&EvalContext::new(), None, &quick());
     assert_eq!(cells.len(), 18);
     let (total, from_fs, from_rb) = exp::fig10::summary(&cells);
     assert!(total > 0.0 && from_fs.is_finite() && from_rb.is_finite());
@@ -70,7 +71,7 @@ fn fig10_runs() {
 
 #[test]
 fn fig11_runs() {
-    let results = exp::fig11::compute(&quick());
+    let results = exp::fig11::compute(&EvalContext::new(), &quick());
     assert_eq!(results.len(), 6); // 3 devices x 2 precisions
     for r in &results {
         assert_eq!(r.apps.len(), 6);
@@ -79,7 +80,7 @@ fn fig11_runs() {
 
 #[test]
 fn fig12_runs() {
-    let cells = exp::fig12::compute(&quick(), 5.0);
+    let cells = exp::fig12::compute(&EvalContext::new(), None, &quick(), 5.0);
     assert_eq!(cells.len(), 18);
     let (mean, worst) = exp::fig12::gap_stats(&cells);
     assert!(mean >= 0.0 && worst >= mean);
@@ -87,20 +88,20 @@ fn fig12_runs() {
 
 #[test]
 fn litcompare_runs() {
-    let rows = exp::litcompare::compute(&quick());
+    let rows = exp::litcompare::compute(&EvalContext::new(), None, &quick());
     assert_eq!(rows.len(), 4);
 }
 
 #[test]
 fn ablation_runs() {
-    let rows = exp::ablation::compute(&quick());
+    let rows = exp::ablation::compute(&EvalContext::new(), &quick());
     assert_eq!(rows.len(), 5);
     assert!(!exp::ablation::render(&rows).is_empty());
 }
 
 #[test]
 fn temporal_comparison_runs() {
-    let cells = exp::temporal_cmp::compute(&quick());
+    let cells = exp::temporal_cmp::compute(&EvalContext::new(), None, &quick());
     assert_eq!(cells.len(), 3 * 5); // 3 orders x (in-plane + 4 depths)
     assert!(!exp::temporal_cmp::render(&cells).is_empty());
 }

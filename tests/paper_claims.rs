@@ -21,7 +21,9 @@ fn tune(dev: &DeviceSpec, kernel: &KernelSpec, dims: GridDims, register_blocking
                 .collect(),
         )
     };
-    exhaustive_tune(dev, kernel, dims, &space, 1).best.mpoints
+    exhaustive_tune_with(&EvalContext::new(), dev, kernel, dims, &space, 1)
+        .best
+        .mpoints
 }
 
 #[test]

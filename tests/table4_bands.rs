@@ -4,6 +4,7 @@
 //! band and against shape invariants (speedup ≥ ~1, SP > DP, decreasing
 //! with order on Fermi).
 
+use inplane_isl::core::EvalContext;
 use stencil_bench::exp::table4;
 use stencil_bench::RunOpts;
 use stencil_grid::Precision;
@@ -11,12 +12,16 @@ use stencil_grid::Precision;
 fn cells() -> Vec<table4::Cell> {
     // Quick space over the full 512x512x256 grid: the absolute rates are
     // grid-scale-sensitive, the search-space reduction is not.
-    table4::compute(&RunOpts {
-        quick: true,
-        seed: 1,
-        csv_dir: None,
-        tune_store: None,
-    })
+    table4::compute(
+        &EvalContext::new(),
+        None,
+        &RunOpts {
+            quick: true,
+            seed: 1,
+            csv_dir: None,
+            tune_store: None,
+        },
+    )
     .into_iter()
     .collect()
 }

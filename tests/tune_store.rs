@@ -14,7 +14,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use gpu_sim::{DeviceSpec, GridDims};
-use inplane_core::{KernelSpec, Method, Variant};
+use inplane_core::{EvalContext, KernelSpec, Method, Variant};
 use stencil_autotune::{ParameterSpace, Provenance};
 use stencil_grid::Precision;
 use stencil_tunestore::{JsonlDiskStore, TuneRequest, TuneResponse, TuneService, TunerSpec};
@@ -61,9 +61,10 @@ fn sweep(svc: &TuneService) -> Vec<TuneResponse> {
 }
 
 fn service_over(path: &PathBuf) -> TuneService {
-    TuneService::with_global_ctx(Arc::new(
-        JsonlDiskStore::open(path).expect("store must open"),
-    ))
+    TuneService::new(
+        Arc::new(JsonlDiskStore::open(path).expect("store must open")),
+        Arc::new(EvalContext::new()),
+    )
 }
 
 #[test]
