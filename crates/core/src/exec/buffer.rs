@@ -13,10 +13,10 @@ use stencil_grid::Real;
 /// Structured description of a read from an un-staged shared-buffer
 /// cell: where in the grid it happened, which z-plane the buffer was
 /// staging, and which zone of the halo-framed window the cell belongs
-/// to. This is the dynamic counterpart of the static schedule proof in
-/// `stencil-lint` (`LNT-S001`): both name the same coordinates and
-/// staging zone, so a static finding can be cross-checked against the
-/// emulator's runtime verdict.
+/// to. This is the dynamic counterpart of the static unstaged-read
+/// proof in `stencil-lint`'s dataflow pass (`LNT-D001`): both count the
+/// same cells of the same staged plane, so a static finding can be
+/// cross-checked against the emulator's runtime verdict.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StageError {
     /// The stable `stencil-lint` diagnostic code the failure corresponds
@@ -37,7 +37,7 @@ pub struct StageError {
 
 impl StageError {
     /// Code of a read from an un-staged shared-buffer cell — the
-    /// runtime counterpart of the static `LNT-S001` schedule proof.
+    /// runtime counterpart of the static `LNT-D001` dataflow proof.
     pub const UNSTAGED_READ: &'static str = "LNT-S001";
     /// Code of a checked run over a plan whose census reports zero
     /// compute points — the runtime counterpart of the static `LNT-D005`

@@ -20,7 +20,7 @@
 //! * [`interpret_plan_checked`] — collects [`StageError`]s and
 //!   substitutes zero, so a deliberately tampered plan can be replayed
 //!   and its runtime failures cross-checked 1:1 against the static
-//!   `LNT-S001` findings on the same IR.
+//!   `LNT-D001` findings on the same IR.
 
 use super::buffer::{SharedBuffer, StageError};
 use super::ExecStats;

@@ -8,7 +8,10 @@
 //!   OpenCL): two for the single-buffer routines, one for the
 //!   double-buffered routine whose staging pair absorbs the reuse
 //!   barrier;
-//! * `LNT-T002` — balanced braces (a malformed emitter never compiles);
+//! * `LNT-T002` — the source is well-formed: it lexes, and its braces
+//!   balance (a malformed emitter never compiles). Source that does not
+//!   lex gets this one finding, naming the offending character, and no
+//!   other;
 //! * `LNT-T003` — the `#define` constants agree with the launch
 //!   configuration, radius and vector width the kernel was generated
 //!   for;
@@ -24,208 +27,83 @@
 //!   would fail to launch — exactly the kind of gap a lint exists to
 //!   surface without changing the tuning-space semantics.
 //!
-//! The `#define`s are actually *parsed and evaluated* (a tiny integer
-//! expression evaluator over `+ - * /` and parentheses), so tampering
-//! with derived macros like `SMEM_W` is caught, not just literal drift.
+//! The pass reads the source through the [`crate::kernelir`] front end,
+//! lexing it once: barriers and braces are counted on the token stream
+//! (a barrier in a comment or string literal never counts), and the
+//! `#define`s are expanded at token level and evaluated as constant
+//! expressions exactly as the kernel parser sizes its arrays — so
+//! tampering with derived macros like `SMEM_W` is caught, not just
+//! literal drift, and a `#define` inside a comment cannot shadow the
+//! real one.
 
 use crate::diag::Diagnostic;
+use crate::kernelir::lexer::{lex, TokKind};
+use crate::kernelir::parser::eval_define;
 use gpu_sim::DeviceSpec;
 use inplane_core::resources::vector_width;
 use inplane_core::{KernelSpec, LaunchConfig};
-use std::collections::HashMap;
 use stencil_codegen::GeneratedKernel;
 
-/// CUDA's per-plane barrier token.
-pub const CUDA_BARRIER: &str = "__syncthreads()";
-/// OpenCL's per-plane barrier token.
-pub const OPENCL_BARRIER: &str = "barrier(CLK_LOCAL_MEM_FENCE)";
+/// CUDA's per-plane barrier, token by token (`__syncthreads()`).
+pub const CUDA_BARRIER: &[&str] = &["__syncthreads", "(", ")"];
+/// OpenCL's per-plane barrier, token by token
+/// (`barrier(CLK_LOCAL_MEM_FENCE)`).
+pub const OPENCL_BARRIER: &[&str] = &["barrier", "(", "CLK_LOCAL_MEM_FENCE", ")"];
 
-/// Count `needle` as a token sequence, so occurrences inside comments
-/// and string literals are ignored. Falls back to a raw substring count
-/// only when the source does not lex (a malformed kernel still gets a
-/// best-effort barrier figure alongside its other findings).
-fn count_occurrences(haystack: &str, needle: &str) -> usize {
-    crate::kernelir::count_token_occurrences(haystack, needle)
-        .unwrap_or_else(|| haystack.match_indices(needle).count())
-}
-
-/// Extract `#define NAME <expr>` pairs from the source.
-///
-/// Goes through the [`crate::kernelir`] lexer, so a `#define` sitting
-/// inside a comment can never shadow a real one; the raw line scan only
-/// backstops source that does not lex.
-fn parse_defines(source: &str) -> HashMap<String, String> {
-    if let Ok(lexed) = crate::kernelir::lexer::lex(source) {
-        let mut out = HashMap::new();
-        for (name, body) in lexed.defines {
-            let expr = body
-                .iter()
-                .map(|t| match &t.kind {
-                    crate::kernelir::lexer::TokKind::Ident(s) => s.clone(),
-                    crate::kernelir::lexer::TokKind::Num(n) => n.to_string(),
-                    crate::kernelir::lexer::TokKind::Str => "\"\"".to_string(),
-                    crate::kernelir::lexer::TokKind::P(p) => (*p).to_string(),
-                })
-                .collect::<Vec<_>>()
-                .join(" ");
-            out.insert(name, expr);
-        }
-        return out;
-    }
-    let mut out = HashMap::new();
-    for line in source.lines() {
-        let line = line.trim();
-        if let Some(rest) = line.strip_prefix("#define ") {
-            let mut parts = rest.splitn(2, char::is_whitespace);
-            if let (Some(name), Some(expr)) = (parts.next(), parts.next()) {
-                out.insert(name.to_string(), expr.trim().to_string());
-            }
-        }
-    }
-    out
-}
-
-/// Evaluate an integer macro expression (`+ - * /`, parentheses,
-/// identifiers resolved through `defines`). `None` on malformed input or
-/// unresolvable identifiers.
-fn eval_expr(expr: &str, defines: &HashMap<String, String>, depth: usize) -> Option<i64> {
-    if depth > 16 {
-        return None; // recursive macro
-    }
-    let tokens = tokenize(expr)?;
-    let (v, rest) = parse_sum(&tokens, defines, depth)?;
-    if rest.is_empty() {
-        Some(v)
-    } else {
-        None
+/// The source text of a token: identifiers and punctuation only (the
+/// two kinds a barrier is spelled in).
+fn token_text(kind: &TokKind) -> Option<&str> {
+    match kind {
+        TokKind::Ident(s) => Some(s),
+        TokKind::P(p) => Some(p),
+        TokKind::Num(_) | TokKind::Str => None,
     }
 }
 
-#[derive(Clone, Debug, PartialEq)]
-enum Tok {
-    Num(i64),
-    Ident(String),
-    Op(char),
-}
-
-fn tokenize(expr: &str) -> Option<Vec<Tok>> {
-    let mut out = Vec::new();
-    let mut chars = expr.chars().peekable();
-    while let Some(&c) = chars.peek() {
-        match c {
-            ' ' | '\t' => {
-                chars.next();
-            }
-            '0'..='9' => {
-                let mut n = 0i64;
-                while let Some(d) = chars.peek().and_then(|c| c.to_digit(10)) {
-                    n = n.checked_mul(10)?.checked_add(d as i64)?;
-                    chars.next();
-                }
-                out.push(Tok::Num(n));
-            }
-            'a'..='z' | 'A'..='Z' | '_' => {
-                let mut s = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c.is_ascii_alphanumeric() || c == '_' {
-                        s.push(c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                out.push(Tok::Ident(s));
-            }
-            '+' | '-' | '*' | '/' | '(' | ')' => {
-                out.push(Tok::Op(c));
-                chars.next();
-            }
-            _ => return None,
-        }
-    }
-    Some(out)
-}
-
-fn parse_sum<'t>(
-    toks: &'t [Tok],
-    defines: &HashMap<String, String>,
-    depth: usize,
-) -> Option<(i64, &'t [Tok])> {
-    let (mut acc, mut rest) = parse_product(toks, defines, depth)?;
-    while let Some(Tok::Op(op @ ('+' | '-'))) = rest.first() {
-        let (rhs, next) = parse_product(&rest[1..], defines, depth)?;
-        acc = if *op == '+' { acc + rhs } else { acc - rhs };
-        rest = next;
-    }
-    Some((acc, rest))
-}
-
-fn parse_product<'t>(
-    toks: &'t [Tok],
-    defines: &HashMap<String, String>,
-    depth: usize,
-) -> Option<(i64, &'t [Tok])> {
-    let (mut acc, mut rest) = parse_atom(toks, defines, depth)?;
-    while let Some(Tok::Op(op @ ('*' | '/'))) = rest.first() {
-        let (rhs, next) = parse_atom(&rest[1..], defines, depth)?;
-        if *op == '*' {
-            acc *= rhs;
-        } else if rhs != 0 {
-            acc /= rhs;
-        } else {
-            return None;
-        }
-        rest = next;
-    }
-    Some((acc, rest))
-}
-
-fn parse_atom<'t>(
-    toks: &'t [Tok],
-    defines: &HashMap<String, String>,
-    depth: usize,
-) -> Option<(i64, &'t [Tok])> {
-    match toks.first()? {
-        Tok::Num(n) => Some((*n, &toks[1..])),
-        Tok::Ident(name) => {
-            let body = defines.get(name)?;
-            Some((eval_expr(body, defines, depth + 1)?, &toks[1..]))
-        }
-        Tok::Op('(') => {
-            let (v, rest) = parse_sum(&toks[1..], defines, depth)?;
-            match rest.first() {
-                Some(Tok::Op(')')) => Some((v, &rest[1..])),
-                _ => None,
-            }
-        }
-        Tok::Op('-') => {
-            let (v, rest) = parse_atom(&toks[1..], defines, depth)?;
-            Some((-v, rest))
-        }
-        _ => None,
-    }
-}
-
-/// Shared text checks for one kernel source.
+/// Shared text checks for one kernel source. `declared_smem` is the
+/// build metadata's shared-memory figure, when there is one (`LNT-T005`).
 fn lint_source(
     source: &str,
-    barrier_token: &str,
+    barrier: &[&str],
     spec: &KernelSpec,
     config: &LaunchConfig,
     device: Option<&DeviceSpec>,
+    declared_smem: Option<usize>,
 ) -> Vec<Diagnostic> {
+    // One lex: comments, string literals and directives never count,
+    // and nothing is derived from text that does not lex.
+    let lexed = match lex(source) {
+        Ok(lexed) => lexed,
+        Err(e) => {
+            return vec![
+                Diagnostic::error("LNT-T002", format!("source does not lex: {e}"))
+                    .with("line", e.pos.line)
+                    .with("col", e.pos.col)
+                    .with("char", format!("{:?}", e.ch)),
+            ];
+        }
+    };
     let mut diags = Vec::new();
     let routine = spec.method.routine();
 
     // T001: exactly the routine's proven barrier count per plane.
     let want_barriers = routine.skeleton(spec.radius).barriers_per_plane;
-    let barriers = count_occurrences(source, barrier_token);
+    let barriers = lexed
+        .tokens
+        .windows(barrier.len())
+        .filter(|w| {
+            w.iter()
+                .zip(barrier)
+                .all(|(t, want)| token_text(&t.kind) == Some(want))
+        })
+        .count();
     if barriers != want_barriers {
+        let barrier_text = barrier.concat();
         diags.push(
             Diagnostic::error(
                 "LNT-T001",
                 format!(
-                    "source issues {barriers} `{barrier_token}` barriers, the schedule proves {want_barriers}"
+                    "source issues {barriers} `{barrier_text}` barriers, the schedule proves {want_barriers}"
                 ),
             )
             .with("barriers", barriers)
@@ -234,8 +112,14 @@ fn lint_source(
     }
 
     // T002: balanced braces.
-    let open = source.chars().filter(|&c| c == '{').count();
-    let close = source.chars().filter(|&c| c == '}').count();
+    let count = |p: &'static str| {
+        lexed
+            .tokens
+            .iter()
+            .filter(|t| t.kind == TokKind::P(p))
+            .count()
+    };
+    let (open, close) = (count("{"), count("}"));
     if open != close {
         diags.push(
             Diagnostic::error(
@@ -248,7 +132,7 @@ fn lint_source(
     }
 
     // T003: #define constants agree with the generation parameters.
-    let defines = parse_defines(source);
+    let define = |name: &str| eval_define(name, &lexed.defines);
     let vw = vector_width(spec).max(1);
     let expected: [(&str, i64); 6] = [
         ("TX", config.tx as i64),
@@ -259,7 +143,7 @@ fn lint_source(
         ("VW", vw as i64),
     ];
     for (name, want) in expected {
-        match defines.get(name).and_then(|e| eval_expr(e, &defines, 0)) {
+        match define(name) {
             Some(got) if got == want => {}
             Some(got) => {
                 diags.push(
@@ -284,14 +168,8 @@ fn lint_source(
         }
     }
 
-    // T004 / T101 need the evaluated tile macros.
-    let smem_w = defines
-        .get("SMEM_W")
-        .and_then(|e| eval_expr(e, &defines, 0));
-    let smem_h = defines
-        .get("SMEM_H")
-        .and_then(|e| eval_expr(e, &defines, 0));
-    let wx = defines.get("WX").and_then(|e| eval_expr(e, &defines, 0));
+    // T004 / T101 / T005 need the evaluated tile macros.
+    let (smem_w, smem_h, wx) = (define("SMEM_W"), define("SMEM_H"), define("WX"));
     if let (Some(smem_w), Some(wx)) = (smem_w, wx) {
         // T004: the staged span must fit the tile row for every possible
         // vector lead of the tile origin.
@@ -315,9 +193,9 @@ fn lint_source(
             }
         }
     }
-    if let (Some(smem_w), Some(smem_h), Some(dev)) = (smem_w, smem_h, device) {
-        let bytes = smem_w * smem_h * spec.elem_bytes as i64 * routine.staging_buffers() as i64;
-        if bytes > dev.smem_per_sm as i64 {
+    if let (Some(w), Some(h)) = (smem_w, smem_h) {
+        let bytes = w * h * spec.elem_bytes as i64 * routine.staging_buffers() as i64;
+        if let Some(dev) = device.filter(|dev| bytes > dev.smem_per_sm as i64) {
             diags.push(
                 Diagnostic::warning(
                     "LNT-T101",
@@ -328,6 +206,18 @@ fn lint_source(
                 )
                 .with("smem_bytes", bytes)
                 .with("limit", dev.smem_per_sm),
+            );
+        }
+        if let Some(declared) = declared_smem.filter(|&d| d as i64 != bytes) {
+            diags.push(
+                Diagnostic::error(
+                    "LNT-T005",
+                    format!(
+                        "metadata declares {declared} B of shared memory, the SMEM_W x SMEM_H formula gives {bytes} B"
+                    ),
+                )
+                .with("declared", declared)
+                .with("formula", bytes),
             );
         }
     }
@@ -342,7 +232,7 @@ pub fn lint_cuda_source(
     config: &LaunchConfig,
     device: Option<&DeviceSpec>,
 ) -> Vec<Diagnostic> {
-    lint_source(source, CUDA_BARRIER, spec, config, device)
+    lint_source(source, CUDA_BARRIER, spec, config, device, None)
 }
 
 /// Lint generated OpenCL source text against its generation parameters.
@@ -352,7 +242,7 @@ pub fn lint_opencl_source(
     config: &LaunchConfig,
     device: Option<&DeviceSpec>,
 ) -> Vec<Diagnostic> {
-    lint_source(source, OPENCL_BARRIER, spec, config, device)
+    lint_source(source, OPENCL_BARRIER, spec, config, device, None)
 }
 
 /// Lint a [`GeneratedKernel`]: the source text checks plus `LNT-T005`
@@ -363,39 +253,21 @@ pub fn lint_cuda(
     config: &LaunchConfig,
     device: Option<&DeviceSpec>,
 ) -> Vec<Diagnostic> {
-    let mut diags = lint_cuda_source(&kernel.source, spec, config, device);
-
-    let defines = parse_defines(&kernel.source);
-    let smem_w = defines
-        .get("SMEM_W")
-        .and_then(|e| eval_expr(e, &defines, 0));
-    let smem_h = defines
-        .get("SMEM_H")
-        .and_then(|e| eval_expr(e, &defines, 0));
-    if let (Some(w), Some(h)) = (smem_w, smem_h) {
-        let formula =
-            w * h * spec.elem_bytes as i64 * spec.method.routine().staging_buffers() as i64;
-        if formula != kernel.smem_bytes as i64 {
-            diags.push(
-                Diagnostic::error(
-                    "LNT-T005",
-                    format!(
-                        "metadata declares {} B of shared memory, the SMEM_W x SMEM_H formula gives {formula} B",
-                        kernel.smem_bytes
-                    ),
-                )
-                .with("declared", kernel.smem_bytes)
-                .with("formula", formula),
-            );
-        }
-    }
-    diags
+    lint_source(
+        &kernel.source,
+        CUDA_BARRIER,
+        spec,
+        config,
+        device,
+        Some(kernel.smem_bytes),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::diag::has_errors;
+    use crate::kernelir::lexer::lex;
     use inplane_core::{Method, Variant};
     use stencil_codegen::{generate_kernel, generate_opencl_kernel};
     use stencil_grid::Precision;
@@ -406,18 +278,56 @@ mod tests {
 
     #[test]
     fn expression_evaluator() {
-        let mut defs = HashMap::new();
-        defs.insert("TX".to_string(), "32".to_string());
-        defs.insert("RX".to_string(), "2".to_string());
-        defs.insert("WX".to_string(), "(TX * RX)".to_string());
-        assert_eq!(eval_expr("WX + 2 * 3", &defs, 0), Some(70));
-        assert_eq!(eval_expr("(WX + 2) * 3", &defs, 0), Some(198));
-        assert_eq!(eval_expr("WX / 4 - 1", &defs, 0), Some(15));
-        assert_eq!(eval_expr("-WX", &defs, 0), Some(-64));
-        assert_eq!(eval_expr("UNKNOWN + 1", &defs, 0), None);
-        assert_eq!(eval_expr("1 +", &defs, 0), None);
-        defs.insert("LOOP".to_string(), "LOOP + 1".to_string());
-        assert_eq!(eval_expr("LOOP", &defs, 0), None, "recursive macro");
+        let lexed = lex("#define TX 32\n\
+             #define RX 2\n\
+             #define WX (TX * RX)\n\
+             #define PREC WX + 2 * 3\n\
+             #define PAREN (WX + 2) * 3\n\
+             #define DIVSUB WX / 4 - 1\n\
+             #define NEG -WX\n\
+             #define UNK UNKNOWN + 1\n\
+             #define TRAIL 1 +\n\
+             #define LOOP LOOP + 1\n")
+        .unwrap();
+        let eval = |name| eval_define(name, &lexed.defines);
+        assert_eq!(eval("PREC"), Some(70));
+        assert_eq!(eval("PAREN"), Some(198));
+        assert_eq!(eval("DIVSUB"), Some(15));
+        assert_eq!(eval("NEG"), Some(-64));
+        assert_eq!(eval("UNK"), None, "unknown identifier");
+        assert_eq!(eval("TRAIL"), None, "trailing operator");
+        assert_eq!(eval("LOOP"), None, "recursive macro");
+        assert_eq!(eval("MISSING"), None, "undefined macro");
+    }
+
+    #[test]
+    fn unlexable_source_is_one_t002_and_nothing_else() {
+        let s = spec(Method::InPlane(Variant::FullSlice), 4, Precision::Single);
+        let c = LaunchConfig::new(32, 4, 1, 2);
+        let dev = DeviceSpec::gtx580();
+        let mut k = generate_kernel(&s, &c);
+        let at = format!("{}:1", k.source.lines().count() + 1);
+        let commented = k
+            .source
+            .replacen("__syncthreads();", "// __syncthreads();", 1);
+        for src in [
+            // Cannot compile, so it cannot lint clean.
+            format!("{}@\n", k.source),
+            // A commented-out barrier does not count as one.
+            format!("{commented}@\n"),
+            // A define in a comment does not shadow the real one.
+            format!("{}@\n/* #define TX 64 */\n", k.source),
+        ] {
+            k.source = src;
+            let d = lint_cuda(&k, &s, &c, Some(&dev));
+            assert_eq!(d.len(), 1, "{d:?}");
+            assert_eq!(d[0].code, "LNT-T002");
+            assert!(
+                d[0].message.contains("'@'") && d[0].message.contains(&at),
+                "{}",
+                d[0].message
+            );
+        }
     }
 
     #[test]

@@ -1,22 +1,26 @@
-//! Whole-plan dataflow analysis over the lowered [`StagePlan`] IR.
+//! Whole-plan dataflow analysis over the lowered [`StagePlan`] IR — the
+//! schedule proof.
 //!
-//! The per-plane schedule proof (`LNT-S…`) and the coverage proof
-//! (`LNT-C…`) reason about one abstract plane schedule; this pass
-//! abstract-interprets an entire lowered plan — every block, every
-//! buffer, every transform-level op — with a region lattice per
-//! `(buffer, plane)` built on the exact rectangle algebra of
-//! [`crate::rect`]. It proves three families of facts (`LNT-D…`):
+//! This pass abstract-interprets an entire lowered plan — every block,
+//! every staged plane, every buffer, every transform-level op — with a
+//! region lattice per `(buffer, plane)` built on the exact rectangle
+//! algebra of [`crate::rect`]. It proves four families of facts:
 //!
+//! * **happens-before in a block** — every tile cell a compute or a
+//!   z-history advance reads was staged in its plane's section
+//!   (`LNT-D001`), and by a store a barrier of that section has fenced
+//!   (`LNT-S002`: otherwise another warp's store may not have landed,
+//!   a cross-warp race the sequential interpreter cannot observe);
 //! * **lifetime proofs** — reads of never-written buffer regions
-//!   (`LNT-D002`), compute reads of never-staged tile cells
-//!   (`LNT-D001`), dead stores/staging/exchanges (`LNT-D101`–`D103`,
+//!   (`LNT-D002`), dead stores/staging/exchanges (`LNT-D101`–`D103`,
 //!   `LNT-D901`), redundant re-staging (`LNT-D104`);
 //! * **cross-plan consistency** — every halo-exchange destination plane
 //!   a sweep reads was last written by the exchange, not by the
 //!   slab-local boundary copy it overwrites (`LNT-D004`, the
 //!   happens-before proof across devices);
-//! * **schedule shape** — section sequencing, rotation counts and
-//!   feeds, publish alignment, compute/write-back shape per method
+//! * **schedule shape** — section sequencing, per-section barrier
+//!   counts, rotation counts and feeds, `BeginBlock` pipeline depths,
+//!   publish alignment, compute/write-back shape per method
 //!   (`LNT-D007`), block-level ops outside a block or its halo window
 //!   (`LNT-D006`), buffer-reference validity (`LNT-D003`), and output
 //!   interior coverage (`LNT-D005`, the static twin of the checked
@@ -130,6 +134,10 @@ struct Section {
     computes: Vec<(usize, ComputeKind)>,
     writebacks: Vec<(usize, usize)>,
     staged: Vec<StagedEntry>,
+    /// `staged[..fenced]` precede a barrier of this section: every
+    /// thread sees them. Later entries may still be in flight in
+    /// another warp.
+    fenced: usize,
 }
 
 impl Section {
@@ -142,6 +150,7 @@ impl Section {
             computes: Vec::new(),
             writebacks: Vec::new(),
             staged: Vec::new(),
+            fenced: 0,
         }
     }
 }
@@ -454,7 +463,9 @@ impl Flow {
     }
 
     /// A tile read of `rects` against the current section's staged
-    /// entries: unmarks read pieces and proves `LNT-D001` coverage.
+    /// entries: unmarks read pieces, proves `LNT-D001` coverage and
+    /// `LNT-S002` happens-before (every staged cell read is fenced by a
+    /// barrier of this section).
     fn tile_read(&mut self, rects: &[Rect], what: &'static str) {
         let Some(section) = self.block.as_mut().and_then(|b| b.sections.last_mut()) else {
             self.emit("LNT-D007", 1, || {
@@ -465,6 +476,13 @@ impl Flow {
         };
         let staged: Vec<Rect> = section.staged.iter().map(|e| e.rect).collect();
         let missing = total_area(&subtract_all(rects.to_vec(), &staged));
+        // Staged but not yet fenced: (read − fenced) minus the never
+        // staged cells (fenced ⊆ staged, and the read pieces are disjoint).
+        let unfenced = if section.fenced < staged.len() {
+            total_area(&subtract_all(rects.to_vec(), &staged[..section.fenced])) - missing
+        } else {
+            0
+        };
         for entry in &mut section.staged {
             entry.unread = subtract_all(std::mem::take(&mut entry.unread), rects);
         }
@@ -476,6 +494,18 @@ impl Flow {
                     .with("read", what)
                     .with("plane", plane)
                     .with("cells", missing)
+            });
+        }
+        if unfenced > 0 {
+            self.emit("LNT-S002", 1, || {
+                Diagnostic::error(
+                    "LNT-S002",
+                    "tile read reaches cells staged after the section's last barrier \
+                     (cross-warp race)",
+                )
+                .with("read", what)
+                .with("plane", plane)
+                .with("cells", unfenced)
             });
         }
     }
@@ -792,6 +822,7 @@ impl Flow {
             PlanOp::Barrier => {
                 if let Some(s) = self.block.as_mut().and_then(|b| b.sections.last_mut()) {
                     s.barriers += 1;
+                    s.fenced = s.staged.len();
                 }
             }
             PlanOp::ComputePoint { plane, slot, kind } => {
@@ -1155,8 +1186,10 @@ pub fn analyze_plan(plan: &StagePlan) -> DataflowReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::expected_pipeline_words;
     use inplane_core::plan::lower_step;
-    use inplane_core::{LaunchConfig, Method, Variant};
+    use inplane_core::{registry, KernelSpec, LaunchConfig, Method, Variant};
+    use stencil_grid::Precision;
 
     fn forward_plan() -> StagePlan {
         lower_step(
@@ -1165,6 +1198,174 @@ mod tests {
             1,
             (10, 10, 8),
         )
+    }
+
+    /// The synthetic 3×3-tile plan the sweep lowers for this pass.
+    fn synth_plan(method: Method, c: &LaunchConfig, r: usize) -> StagePlan {
+        let dims = (2 * r + 3 * c.tile_x(), 2 * r + 3 * c.tile_y(), 4 * r + 2);
+        lower_step(method, c, r, dims)
+    }
+
+    /// Staged-plane sections over all blocks: one interior stage each.
+    fn sections(plan: &StagePlan) -> u64 {
+        plan.ops
+            .iter()
+            .filter(|o| {
+                matches!(
+                    o,
+                    PlanOp::StageRegion {
+                        zone: Zone::Interior,
+                        ..
+                    }
+                )
+            })
+            .count() as u64
+    }
+
+    fn codes(rep: &DataflowReport) -> Vec<&'static str> {
+        rep.diagnostics.iter().map(|d| d.code).collect()
+    }
+
+    #[test]
+    fn missing_barrier_is_s002() {
+        let mut plan = synth_plan(
+            Method::InPlane(Variant::FullSlice),
+            &LaunchConfig::new(32, 8, 1, 1),
+            1,
+        );
+        // Remove the first stage barrier: its section's reads now race
+        // with the stores.
+        let first = plan
+            .ops
+            .iter()
+            .position(|o| matches!(o, PlanOp::Barrier))
+            .unwrap();
+        plan.ops.remove(first);
+        let rep = analyze_plan(&plan);
+        assert!(codes(&rep).contains(&"LNT-S002"), "{:?}", rep.diagnostics);
+        assert!(!codes(&rep).contains(&"LNT-D001"), "fully staged");
+        assert_eq!(rep.uninit_tile_cells, 0);
+    }
+
+    #[test]
+    fn missing_stage_is_d001() {
+        let mut plan = synth_plan(
+            Method::InPlane(Variant::Horizontal),
+            &LaunchConfig::new(32, 8, 1, 1),
+            1,
+        );
+        // Drop the first section's top-halo stage (the second lowered
+        // region): a read of cells nothing staged, not a race.
+        let stages: Vec<usize> = (0..plan.ops.len())
+            .filter(|&i| matches!(plan.ops[i], PlanOp::StageRegion { .. }))
+            .collect();
+        plan.ops.remove(stages[1]);
+        let rep = analyze_plan(&plan);
+        assert!(codes(&rep).contains(&"LNT-D001"), "{:?}", rep.diagnostics);
+        assert!(!codes(&rep).contains(&"LNT-S002"), "{:?}", rep.diagnostics);
+        assert!(rep.uninit_tile_cells > 0);
+    }
+
+    #[test]
+    fn lowered_schedule_has_the_proven_barrier_count() {
+        for rt in registry() {
+            let c = LaunchConfig::new(16, 4, 1, 2);
+            let plan = synth_plan(rt.method(), &c, 2);
+            let proven = rt.skeleton(2).barriers_per_plane;
+            // D007 counts barriers section by section: the untouched
+            // plan holds the proven count in every section...
+            let rep = analyze_plan(&plan);
+            assert!(rep.is_clean(), "{}: {:?}", rt.label(), rep.diagnostics);
+            let barriers = plan.census().barriers;
+            assert_eq!(barriers, sections(&plan) * proven as u64, "{}", rt.label());
+            // ...and one extra barrier in one section is a D007.
+            let mut extra = plan.clone();
+            let at = extra
+                .ops
+                .iter()
+                .position(|o| matches!(o, PlanOp::Barrier))
+                .unwrap();
+            extra.ops.insert(at, PlanOp::Barrier);
+            let rep = analyze_plan(&extra);
+            assert!(codes(&rep).contains(&"LNT-D007"), "{}", rt.label());
+        }
+        // The legacy five prove two; the double-buffered routine one.
+        assert_eq!(
+            Method::ForwardPlane
+                .routine()
+                .skeleton(2)
+                .barriers_per_plane,
+            StagePlan::BARRIERS_PER_PLANE
+        );
+        assert_eq!(
+            Method::InPlane(Variant::DoubleBuffered)
+                .routine()
+                .skeleton(2)
+                .barriers_per_plane,
+            1
+        );
+    }
+
+    #[test]
+    fn lowered_depths_match_the_routine_table() {
+        for rt in registry() {
+            for order in [2usize, 4, 8] {
+                let c = LaunchConfig::new(32, 8, 1, 1);
+                let k = KernelSpec::star_order(rt.method(), order, Precision::Single);
+                let mut plan = synth_plan(k.method, &c, k.radius);
+                let (z_depth, out_depth) = plan
+                    .ops
+                    .iter()
+                    .find_map(|op| match *op {
+                        PlanOp::BeginBlock {
+                            z_depth, out_depth, ..
+                        } => Some((z_depth, out_depth)),
+                        _ => None,
+                    })
+                    .unwrap();
+                // The staged slot doubles as the accumulator, hence − 1.
+                assert_eq!(
+                    z_depth + out_depth - 1,
+                    expected_pipeline_words(&k),
+                    "{} order {order}",
+                    rt.label()
+                );
+                assert!(analyze_plan(&plan).is_clean(), "{}", rt.label());
+                // A block declaring one z-value too few is a D007.
+                for op in &mut plan.ops {
+                    if let PlanOp::BeginBlock { z_depth, .. } = op {
+                        *z_depth -= 1;
+                        break;
+                    }
+                }
+                let rep = analyze_plan(&plan);
+                assert!(
+                    codes(&rep).contains(&"LNT-D007"),
+                    "{} order {order}: {:?}",
+                    rt.label(),
+                    rep.diagnostics
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn full_slice_over_stages_exactly_the_unread_corners() {
+        // One 8×8 block, r = 2: each section stages the (8 + 2r)² slab,
+        // and the star read footprint leaves exactly its 4r² corners
+        // unread.
+        let plan = lower_step(
+            Method::InPlane(Variant::FullSlice),
+            &LaunchConfig::new(8, 8, 1, 1),
+            2,
+            (12, 12, 12),
+        );
+        let sections = sections(&plan);
+        let staged: u64 = plan.census().staged_area_by_zone.iter().sum();
+        assert_eq!(staged, sections * 12 * 12);
+        let rep = analyze_plan(&plan);
+        assert!(rep.is_clean(), "{:?}", rep.diagnostics);
+        assert_eq!(rep.dead_corner_cells, sections * 4 * 2 * 2);
     }
 
     #[test]

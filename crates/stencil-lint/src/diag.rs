@@ -222,12 +222,12 @@ pub const CATALOG: &[(&str, Severity, &str)] = &[
     (
         "LNT-T001",
         Severity::Error,
-        "generated kernel does not issue exactly two barriers per plane",
+        "generated kernel's per-plane barrier count differs from the routine's proven schedule",
     ),
     (
         "LNT-T002",
         Severity::Error,
-        "generated source has unbalanced braces",
+        "generated source is malformed (unbalanced braces or unlexable text)",
     ),
     (
         "LNT-T003",

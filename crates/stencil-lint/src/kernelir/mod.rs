@@ -7,9 +7,11 @@
 //! front-end plus an evaluator:
 //!
 //! * [`lexer`] — a comment- and string-literal-aware tokenizer with
-//!   line/column positions. It is also the shared counting primitive:
-//!   [`lexer::count_token_occurrences`] never counts a barrier hidden
-//!   in a `//` comment (the `codegen_text` bug this module fixed).
+//!   line/column positions. It is also the front end of the
+//!   [`crate::codegen_text`] lint, which counts barriers on its token
+//!   stream (so a barrier hidden in a `//` comment never counts) and
+//!   evaluates `#define`s through [`lexer::expand_macros`] and the
+//!   parser's constant-expression path.
 //! * [`ast`] — the typed kernel AST: declarations, affine index
 //!   expressions over `threadIdx`/`get_local_id`, the plane loop and
 //!   vector lanes. Identifiers are interned to keep evaluation cheap.
@@ -33,5 +35,4 @@ pub mod lexer;
 pub mod parser;
 
 pub use interp::{run_block, BlockEvents, LaunchEnv, Violation, ViolationKind};
-pub use lexer::count_token_occurrences;
 pub use parser::parse_kernel;

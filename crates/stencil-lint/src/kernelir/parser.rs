@@ -60,6 +60,16 @@ fn vec_lanes(ty: &str) -> Option<u8> {
 }
 
 impl Parser {
+    fn new(toks: Vec<Token>) -> Self {
+        Parser {
+            toks,
+            i: 0,
+            syms: SymTab::default(),
+            shared: Vec::new(),
+            local_arrays: Vec::new(),
+        }
+    }
+
     fn pos(&self) -> Pos {
         self.toks.get(self.i).map(|t| t.pos).unwrap_or(END_POS)
     }
@@ -622,27 +632,41 @@ impl Parser {
 }
 
 /// Evaluate a constant integer expression (array dims after macro
-/// expansion). `None` if the expression mentions a variable.
+/// expansion). `None` if the expression mentions a variable, divides by
+/// zero or overflows.
 pub fn const_eval(e: &Expr) -> Option<i64> {
     match e {
         Expr::Num(n) => Some(*n),
-        Expr::Neg(x) => const_eval(x).map(|v| -v),
+        Expr::Neg(x) => const_eval(x)?.checked_neg(),
         Expr::CastInt(x) => const_eval(x),
         Expr::Bin(op, a, b) => {
             let a = const_eval(a)?;
             let b = const_eval(b)?;
             match op {
-                BinOp::Add => Some(a + b),
-                BinOp::Sub => Some(a - b),
-                BinOp::Mul => Some(a * b),
-                BinOp::Div => (b != 0).then(|| a / b),
-                BinOp::Rem => (b != 0).then(|| a % b),
+                BinOp::Add => a.checked_add(b),
+                BinOp::Sub => a.checked_sub(b),
+                BinOp::Mul => a.checked_mul(b),
+                BinOp::Div => a.checked_div(b),
+                BinOp::Rem => a.checked_rem(b),
                 BinOp::And => Some(a & b),
                 _ => None,
             }
         }
         _ => None,
     }
+}
+
+/// Evaluate the object-like macro `name` of a lexed define table the
+/// way the parser sizes arrays: expand its body at token level and read
+/// the expansion as one closed constant expression. `None` when `name`
+/// is undefined, or its expansion mentions a non-macro identifier (a
+/// recursive macro bottoms out in one), is malformed or has tokens left
+/// over, or does not evaluate (see [`const_eval`]).
+pub(crate) fn eval_define(name: &str, defines: &[(String, Vec<Token>)]) -> Option<i64> {
+    let (_, body) = defines.iter().find(|(n, _)| n == name)?;
+    let mut p = Parser::new(expand_macros(body, defines));
+    let v = p.parse_const_expr().ok()?;
+    p.peek().is_none().then_some(v)
 }
 
 /// Parse a generated kernel (either backend) into a [`Kernel`].
@@ -655,15 +679,7 @@ pub fn parse_kernel(source: &str) -> Result<Kernel, ParseError> {
         pos: e.pos,
         msg: format!("lex error: unrecognised character {:?}", e.ch),
     })?;
-    let toks = expand_macros(&lexed.tokens, &lexed.defines);
-
-    let mut p = Parser {
-        toks,
-        i: 0,
-        syms: SymTab::default(),
-        shared: Vec::new(),
-        local_arrays: Vec::new(),
-    };
+    let mut p = Parser::new(expand_macros(&lexed.tokens, &lexed.defines));
 
     // File scope: collect `__constant__ T c_coeff[N];`, then find
     // `void <name> (`.

@@ -5,15 +5,14 @@
 //!
 //! A static plan/codegen analyzer for the in-plane stencil method,
 //! emitting machine-readable coded diagnostics instead of booleans and
-//! runtime panics. Four analyses cover the paper's correctness and
-//! tuning stories:
+//! runtime panics. Four passes check a configuration against the
+//! resource model and its priced per-block plan:
 //!
 //! * [`feasibility`] — the §IV-C resource constraints, *explained*:
 //!   which constraint failed and by how much (`LNT-R…`);
-//! * [`schedule`] — a barrier/happens-before proof over the abstract
-//!   per-plane schedule: every shared-memory read is dominated by its
-//!   staging store plus a barrier, the barrier count is exactly two and
-//!   the register-pipeline depth matches the method (`LNT-S…`);
+//! * [`schedule`] — the priced plan's barrier count against the
+//!   routine's proven schedule, and the register-pipeline depth the
+//!   resource model carries against the method (`LNT-S003`/`S004`);
 //! * [`coverage`] — the load regions of every variant exactly tile the
 //!   halo-framed slab under that variant's documented corner policy —
 //!   no gap, no overlap (`LNT-C…`);
@@ -22,20 +21,26 @@
 //!   column-major side-halo collapse with the measured-vs-ideal ratio
 //!   (`LNT-M…`).
 //!
-//! Two whole-plan passes go beyond the single abstract schedule:
+//! Two whole-plan passes read the lowered
+//! [`inplane_core::plan::StagePlan`], the IR every execution path
+//! interprets:
 //!
-//! * [`dataflow`] — abstract-interprets an entire lowered
-//!   [`inplane_core::plan::StagePlan`] with a per-`(buffer, plane)`
-//!   region lattice: buffer-lifetime proofs, cross-device
-//!   happens-before consistency and schedule-shape checks (`LNT-D…`);
+//! * [`dataflow`] — the schedule proof: it abstract-interprets every
+//!   block and plane with a per-`(buffer, plane)` region lattice —
+//!   reads of unstaged tile cells (`LNT-D001`), reads of staged cells no
+//!   barrier has fenced (`LNT-S002`), buffer lifetimes, cross-device
+//!   happens-before consistency and schedule shape against the routine
+//!   skeleton (`LNT-D…`);
 //! * [`traffic`] — a static traffic oracle predicting the instrumented
 //!   interpreter's `ExecStats` exactly from the op stream, plus byte
 //!   and coalesced-transaction figures per word width.
 //!
 //! On top of the plan-level passes, [`codegen_text`] lints generated
-//! CUDA/OpenCL source (barrier count, `#define` consistency, halo index
-//! bounds, declared shared-memory bytes — `LNT-T…`), and [`sweep`] runs
-//! everything over a device's full parameter space in parallel.
+//! CUDA/OpenCL source through the [`kernelir`] lexer and macro
+//! evaluator (per-plane barrier count, well-formedness, `#define`
+//! consistency, halo index bounds, declared shared-memory bytes —
+//! `LNT-T…`), and [`sweep`] runs everything over a device's full
+//! parameter space in parallel.
 //!
 //! Finally, [`verify`] closes the loop on the emitted text itself: the
 //! CUDA/OpenCL source is parsed by [`kernelir`] into a typed AST and

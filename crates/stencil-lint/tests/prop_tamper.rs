@@ -12,7 +12,10 @@
 //!   **bit-identical** output to the untampered plan.
 //!
 //! A tamper that silently changes the answer is exactly the kind of
-//! lowering bug the engine exists to refuse.
+//! lowering bug the engine exists to refuse. One tamper class is
+//! harmless to the sequential interpreter yet wrong on a GPU — a compute
+//! hoisted above its stage barrier — so it gets a targeted case that
+//! demands the race finding outright.
 
 use proptest::prelude::*;
 use stencil_lint::analyze_plan;
@@ -47,6 +50,32 @@ fn tampered(plan: &StagePlan, kind: Tamper, at: usize) -> Option<StagePlan> {
     let mut out = plan.clone();
     out.ops = ops;
     Some(out)
+}
+
+/// The race tamper class, for every routine: swapping plane 5's stage
+/// barrier with the compute that follows it leaves every cell staged
+/// and every section's barrier count intact, yet the compute now reads
+/// stores no barrier has fenced. The dataflow pass must call it a
+/// cross-warp race (`LNT-S002`).
+#[test]
+fn swapped_stage_barrier_is_a_race_for_every_routine() {
+    for rt in registry() {
+        let plan = lower_step(rt.method(), &LaunchConfig::new(8, 8, 1, 1), 2, (12, 12, 12));
+        let compute = plan
+            .ops
+            .iter()
+            .position(|op| matches!(op, PlanOp::ComputePoint { plane: 5, .. }))
+            .expect("plane 5 computes");
+        assert!(matches!(plan.ops[compute - 1], PlanOp::Barrier));
+        let bad = tampered(&plan, Tamper::SwapWithNext, compute - 1).unwrap();
+        let report = analyze_plan(&bad);
+        assert!(
+            report.diagnostics.iter().any(|d| d.code == "LNT-S002"),
+            "{}: {:?}",
+            rt.label(),
+            report.diagnostics
+        );
+    }
 }
 
 proptest! {
